@@ -2,8 +2,15 @@
 
 The CLI maps these onto process exit codes: invalid parameters and bad
 configs exit 2, topology generation failures exit 3, and internal
-invariant breaches exit 4.
+invariant breaches exit 4.  ``require_integer`` and ``require_finite`` are
+the type checks that configs and generators run on numeric inputs before
+any range check.
 """
+
+from __future__ import annotations
+
+import math
+import numbers
 
 
 class InvalidParameterError(ValueError):
@@ -16,3 +23,21 @@ class GenerationFailureError(RuntimeError):
 
 class InvariantViolationError(RuntimeError):
     """An internal consistency guarantee was broken (e.g. double allocation)."""
+
+
+def require_integer(name: str, value) -> None:
+    """Reject anything but an integer; bools and floats such as 10.0 too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Reject anything but a finite real number; bools, NaN and infinities too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")

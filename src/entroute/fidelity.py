@@ -15,11 +15,11 @@ Qubit 0 is the first tensor factor (most significant index bit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvariantViolationError
+from .errors import InvalidParameterError, InvariantViolationError, require_finite
 
 ATOL = 1e-9
 
@@ -64,6 +64,8 @@ class NoiseConfig:
     source_frequency_hz: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_finite(f"noise.{f.name}", getattr(self, f.name))
         if self.dephasing_rate_hz < 0 or self.depolarization_rate_hz < 0:
             raise InvalidParameterError("noise rates must be >= 0")
         if self.distance_km <= 0:

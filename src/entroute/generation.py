@@ -6,6 +6,12 @@ redrawn until connected (bounded retries).  Link distances are uniform on
 on [1, round(2 * avg - 1)] so their mean tracks the requested average while
 staying >= 1.
 
+Topology draws come in blocks from ``RngStream.random_array``: one uniform per
+node pair (u, v), u < v, in row-major order for each Erdos-Renyi attempt,
+then one per link for distances and one per node for capacities.  The blocks
+are bit-identical to the same number of scalar ``random()`` calls, so the
+generated network is exactly the one a pair-by-pair loop would draw.
+
 Entanglement generation budgets each node's qubits across its incident
 links in synchronized rounds.  In every round each link, visited in
 ascending (u, v) order (which walks each node's neighbors in ascending id
@@ -22,7 +28,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import GenerationFailureError, InvalidParameterError
+import numpy as np
+
+from .errors import (
+    GenerationFailureError,
+    InvalidParameterError,
+    require_finite,
+    require_integer,
+)
 from .network import (
     EntangledGraph,
     EntangledLink,
@@ -33,6 +46,9 @@ from .network import (
 from .rng import RngStream
 
 CONNECTIVITY_RETRY_BUDGET = 100
+# Node pairs drawn per block: caps the memory of an Erdos-Renyi attempt at a
+# few MB whatever the node count (up to n = 362 all pairs fit in one block).
+PAIR_BLOCK = 1 << 16
 
 
 def entanglement_probability(distance_km: float, alpha: float) -> float:
@@ -72,6 +88,9 @@ def generate_topology(
     rng: RngStream,
 ) -> PhysicalNetwork:
     """Connected random network with the requested average distance/capacity."""
+    require_integer("node_count", node_count)
+    require_finite("avg_distance_km", avg_distance_km)
+    require_finite("avg_capacity", avg_capacity)
     if node_count < 2:
         raise InvalidParameterError(f"need at least 2 nodes, got {node_count}")
     if avg_distance_km <= 0:
@@ -80,14 +99,19 @@ def generate_topology(
         raise InvalidParameterError("average capacity must be >= 1")
 
     p = min(1.0, 2.0 * math.log(node_count) / node_count)
+    # One coin flip per node pair (u, v), u < v, in row-major order.  Pair
+    # (u, v) has index row_start[u] + v - u - 1 in that order.
+    pair_count = node_count * (node_count - 1) // 2
+    row_start = np.concatenate(([0], np.cumsum(np.arange(node_count - 1, 0, -1))))
     edges: list[tuple[int, int]] | None = None
     for _ in range(CONNECTIVITY_RETRY_BUDGET):
-        candidate = [
-            (u, v)
-            for u in range(node_count)
-            for v in range(u + 1, node_count)
-            if rng.random() < p
-        ]
+        kept = np.concatenate([
+            start + np.flatnonzero(rng.random_array(min(PAIR_BLOCK, pair_count - start)) < p)
+            for start in range(0, pair_count, PAIR_BLOCK)
+        ])
+        u = np.searchsorted(row_start, kept, side="right") - 1
+        v = kept - row_start[u] + u + 1
+        candidate = list(zip(u.tolist(), v.tolist()))
         if _is_connected(node_count, candidate):
             edges = candidate
             break
@@ -98,15 +122,17 @@ def generate_topology(
         )
 
     # Distances and capacities are monotone transforms of raw uniforms so
-    # that sweeping the averages preserves per-seed orderings.
+    # that sweeping the averages preserves per-seed orderings.  float() is
+    # the conversion Python applies to an int operand of a float product.
+    distances = (0.5 + rng.random_array(len(edges))) * float(avg_distance_km)
     links = tuple(
-        PhysicalLink(u, v, (0.5 + rng.random()) * avg_distance_km)
-        for u, v in edges
+        PhysicalLink(u, v, d) for (u, v), d in zip(edges, distances.tolist())
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
+    scaled = rng.random_array(node_count) * float(cap_max)
     nodes = tuple(
-        QuantumNode(i, 1 + min(int(rng.random() * cap_max), cap_max - 1))
-        for i in range(node_count)
+        QuantumNode(i, 1 + min(int(x), cap_max - 1))
+        for i, x in enumerate(scaled.tolist())
     )
     return PhysicalNetwork(nodes, links)
 

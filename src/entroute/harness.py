@@ -25,7 +25,12 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import InvalidParameterError, InvariantViolationError
+from .errors import (
+    InvalidParameterError,
+    InvariantViolationError,
+    require_finite,
+    require_integer,
+)
 from .fidelity import FidelitySweepRow, NoiseConfig, fidelity_sweep
 from .generation import generate_entanglement, generate_grid, generate_topology
 from .metrics import compute_metrics
@@ -63,6 +68,23 @@ class ExperimentConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):
+        for name in ("node_count", "demand_count", "iterations", "master_seed"):
+            require_integer(name, getattr(self, name))
+        for name in ("avg_capacity", "avg_distance_km", "alpha_per_km"):
+            require_finite(name, getattr(self, name))
+        # A bare string would otherwise be read one character per name.
+        if not isinstance(self.algorithms, (list, tuple)):
+            raise InvalidParameterError(
+                f"algorithms must be a list of names, got {self.algorithms!r}"
+            )
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise InvalidParameterError(
+                f"sweep_values must be a list of numbers, got {self.sweep_values!r}"
+            )
+        for value in self.sweep_values:
+            require_finite("sweep_values", value)
+        if not isinstance(self.noise, NoiseConfig):
+            raise InvalidParameterError("noise must be an object")
         if self.node_count < 2:
             raise InvalidParameterError("node_count must be >= 2")
         max_demands = self.node_count * (self.node_count - 1) // 2
@@ -92,8 +114,9 @@ class ExperimentConfig:
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "noise" in kwargs and kwargs["noise"] is not None:
-            noise = kwargs["noise"]
+        # An absent or null "noise" keeps the default noise constants.
+        noise = kwargs.pop("noise", None)
+        if noise is not None:
             if not isinstance(noise, dict):
                 raise InvalidParameterError("noise must be an object")
             noise_known = {f.name for f in fields(NoiseConfig)}
@@ -111,7 +134,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
         raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameterError("config root must be a JSON object")

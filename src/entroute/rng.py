@@ -13,6 +13,13 @@ internals that are free to change between versions.  The core is SplitMix64:
 Floats are built from the top 53 bits of an output word, so every derived
 draw (uniform, bounded int, shuffle) is an exact function of the seed.
 
+Because the state only ever advances by the golden-ratio step, the i-th
+output after a state s (i = 1, 2, ...) is ``mix64((s + i * 0x9E3779B97F4A7C15)
+mod 2^64)``, independent of every other draw.  ``RngStream.random_array``
+evaluates that formula for a whole block at once in NumPy ``uint64``
+arithmetic (multiplies wrap mod 2^64) and returns ``(z >> 11) * 2^-53``, the
+same floats that as many ``random()`` calls return, bit for bit.
+
 Derived seeds use ``hash64``: starting from ``acc = 0``, each value ``v`` is
 absorbed as ``acc = mix64((acc + 0x9E3779B97F4A7C15 + v) mod 2^64)`` where
 ``mix64`` is the finalizer above.  Any implementation of these two formulas
@@ -21,12 +28,20 @@ reproduces the full stream hierarchy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+
+# Every operand of the block formula is an explicit uint64, so NumPy 1.24's
+# value-based casting and NumPy 2's promotion rules give the same dtypes.
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX_A = np.uint64(_MIX_A)
+_U64_MIX_B = np.uint64(_MIX_B)
 
 
 def mix64(z: int) -> int:
@@ -69,6 +84,23 @@ class RngStream:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def random_array(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``random()`` as a float64 array.
+
+        Bit-identical to ``[self.random() for _ in range(count)]`` and leaves
+        the stream in the same state.
+        """
+        if count < 0:
+            raise InvalidParameterError(f"draw count must be >= 0, got {count}")
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + steps * _U64_GOLDEN
+            z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
+            z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
+            z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()

@@ -6,8 +6,12 @@ algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
+
+from entroute.errors import GenerationFailureError
+from entroute.network import PhysicalLink, PhysicalNetwork, QuantumNode
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
@@ -118,3 +122,55 @@ def validate_schedule(schedule, graph, demands) -> None:
     counts = [len(schedule.paths[d.id]) for d in demands]
     assert schedule.k == min(counts), "k is not the minimum path count"
     assert schedule.consumed_edge_ids == used
+
+
+def _spans_all_nodes(node_count: int, edges: list[Edge]) -> bool:
+    """Union-find connectivity over the raw edge list."""
+    parent = list(range(node_count))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = node_count
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1
+
+
+def generate_topology_scalar(
+    node_count: int, avg_distance_km: float, avg_capacity: float, rng
+) -> PhysicalNetwork:
+    """Pair-by-pair reference for ``entroute.generation.generate_topology``.
+
+    One scalar ``rng.random()`` per node pair (u, v), u < v, in row-major
+    order per Erdos-Renyi attempt, redrawn until connected within 100
+    attempts; then one per link for its distance and one per node for its
+    capacity.
+    """
+    p = min(1.0, 2.0 * math.log(node_count) / node_count)
+    for _ in range(100):
+        edges = [
+            (u, v)
+            for u in range(node_count)
+            for v in range(u + 1, node_count)
+            if rng.random() < p
+        ]
+        if _spans_all_nodes(node_count, edges):
+            break
+    else:
+        raise GenerationFailureError(f"no connected graph on {node_count} nodes")
+    links = tuple(
+        PhysicalLink(u, v, (0.5 + rng.random()) * avg_distance_km) for u, v in edges
+    )
+    cap_max = max(1, round(2.0 * avg_capacity - 1.0))
+    nodes = tuple(
+        QuantumNode(i, 1 + min(int(rng.random() * cap_max), cap_max - 1))
+        for i in range(node_count)
+    )
+    return PhysicalNetwork(nodes, links)

@@ -1,31 +1,34 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entroute.cli import main
+
+
+BASE_CONFIG = {
+    "node_count": 20,
+    "demand_count": 3,
+    "avg_capacity": 4,
+    "avg_distance_km": 7.44,
+    "alpha_per_km": 0.05,
+    "algorithms": ["smpsa", "mcsa"],
+    "iterations": 3,
+    "master_seed": 9,
+    "sweep_axis": "avg_capacity",
+    "sweep_values": [3, 6],
+}
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps(
-            {
-                "node_count": 20,
-                "demand_count": 3,
-                "avg_capacity": 4,
-                "avg_distance_km": 7.44,
-                "alpha_per_km": 0.05,
-                "algorithms": ["smpsa", "mcsa"],
-                "iterations": 3,
-                "master_seed": 9,
-                "sweep_axis": "avg_capacity",
-                "sweep_values": [3, 6],
-            }
-        )
-    )
+    path.write_text(json.dumps(BASE_CONFIG))
     return str(path)
 
 
@@ -129,3 +132,53 @@ def test_console_entry_point(config_path, tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node_count", 10.5, "node_count must be an integer"),
+        ("avg_capacity", math.inf, "avg_capacity must be finite"),
+        ("avg_distance_km", math.nan, "avg_distance_km must be finite"),
+        ("algorithms", "smpsa", "algorithms must be a list of names"),
+    ],
+)
+def test_malformed_field_exit_code(field, value, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**BASE_CONFIG, field: value}))
+    assert main(["schedule", "--config", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positive_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an int past the float range
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES)
+@example(10**400)
+@example(math.nan)
+@example(-math.inf)
+@example(0)
+@example(True)
+@example("7.44")
+@example([7.44])
+def test_any_json_distance_runs_or_exits_2(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, "avg_distance_km": value}))
+        code = main(["schedule", "--config", str(config), "--out", str(Path(tmp) / "rows.csv")])
+    assert code == (0 if _positive_finite(value) else 2)

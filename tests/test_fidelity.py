@@ -76,6 +76,11 @@ class TestNoiseConfig:
         with pytest.raises(InvalidParameterError):
             NoiseConfig(distance_km=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e6", None, True])
+    def test_rejects_non_finite_or_non_numeric(self, value):
+        with pytest.raises(InvalidParameterError):
+            NoiseConfig(dephasing_rate_hz=value)
+
 
 class TestDephasing:
     def test_zero_rate_is_identity(self):

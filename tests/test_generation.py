@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroute import generation
 from entroute.errors import InvalidParameterError
 from entroute.generation import (
     entanglement_probability,
@@ -13,6 +15,7 @@ from entroute.generation import (
 )
 from entroute.network import PhysicalLink, PhysicalNetwork, QuantumNode
 from entroute.rng import RngStream
+from oracles import generate_topology_scalar
 
 
 class TestEntanglementProbability:
@@ -84,6 +87,58 @@ class TestGenerateTopology:
     def test_rejects_tiny_node_count(self):
         with pytest.raises(InvalidParameterError):
             generate_topology(1, 7.44, 3, RngStream(0))
+
+    @pytest.mark.parametrize("node_count", [10.5, 10.0, "10", None, True])
+    def test_rejects_non_integer_node_count(self, node_count):
+        with pytest.raises(InvalidParameterError):
+            generate_topology(node_count, 7.44, 3, RngStream(0))
+
+    @pytest.mark.parametrize("distance, capacity", [
+        (math.nan, 3), (math.inf, 3), (7.44, math.nan), (7.44, math.inf),
+    ])
+    def test_rejects_non_finite_averages(self, distance, capacity):
+        with pytest.raises(InvalidParameterError):
+            generate_topology(10, distance, capacity, RngStream(0))
+
+
+def _assert_matches_scalar_oracle(node_count, avg_distance_km, avg_capacity, seed):
+    fast_rng, slow_rng = RngStream(seed), RngStream(seed)
+    fast = generate_topology(node_count, avg_distance_km, avg_capacity, fast_rng)
+    slow = generate_topology_scalar(node_count, avg_distance_km, avg_capacity, slow_rng)
+    assert fast.to_json() == slow.to_json()
+    # Both leave their stream at the same position.
+    assert fast_rng.random() == slow_rng.random()
+    return fast
+
+
+class TestTopologyMatchesScalarOracle:
+    @pytest.mark.parametrize(
+        "node_count, avg_distance_km, avg_capacity",
+        [(2, 7.44, 3), (3, 10, 5.05), (50, 27.5, 9.09), (100, 7.44, 10.96), (250, 12.87, 11),
+         (400, 7.44, 4)],
+    )
+    def test_sizes(self, node_count, avg_distance_km, avg_capacity):
+        _assert_matches_scalar_oracle(node_count, avg_distance_km, avg_capacity, 1000 + node_count)
+
+    def test_redraw_after_disconnected_graph(self):
+        # Seed 6 at n=50 draws a disconnected graph first, so the accepted
+        # graph comes from the second attempt of 1225 pair draws.
+        net = _assert_matches_scalar_oracle(50, 7.44, 4, 6)
+        consumed = 2 * 1225 + len(net.links) + 50
+        rng, skip = RngStream(6), RngStream(6)
+        generate_topology(50, 7.44, 4, rng)
+        skip.random_array(consumed)
+        assert rng.random() == skip.random()
+
+    @pytest.mark.parametrize("seed", [6, 42])
+    def test_pair_blocks_that_split_rows(self, monkeypatch, seed):
+        # Blocks of 7 pairs end mid-row and the last one is short.
+        monkeypatch.setattr(generation, "PAIR_BLOCK", 7)
+        _assert_matches_scalar_oracle(50, 7.44, 4, seed)
+
+    @pytest.mark.parametrize("seed", [2**64 - 3, 2**64 - 2, 2**64 - 1])
+    def test_seeds_at_the_top_of_the_range(self, seed):
+        _assert_matches_scalar_oracle(50, 7.44, 4, seed)
 
 
 class TestGenerateGrid:

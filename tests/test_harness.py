@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -85,6 +86,30 @@ class TestExperimentConfig:
         config = load_config(str(path))
         assert config.algorithms == ("smpsa", "mcsa")
         assert config.noise == NoiseConfig(dephasing_rate_hz=100.0, distance_km=2.5)
+
+    def test_null_noise_keeps_defaults(self):
+        config = ExperimentConfig.from_dict(
+            {"node_count": 10, "demand_count": 2, "avg_capacity": 3,
+             "avg_distance_km": 5.0, "noise": None}
+        )
+        assert config.noise == NoiseConfig()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("demand_count", 2.0),
+            ("iterations", "5"),
+            ("master_seed", 1.5),
+            ("alpha_per_km", math.nan),
+            ("avg_capacity", 10**400),
+            ("algorithms", ["smpsa", 3]),
+            ("sweep_values", (3, math.inf)),
+            ("noise", {"distance_km": 1.0}),
+        ],
+    )
+    def test_rejects_wrong_type_or_non_finite(self, field, value):
+        with pytest.raises(InvalidParameterError):
+            small_config(**{field: value})
 
     def test_load_config_missing_file(self):
         with pytest.raises(InvalidParameterError):

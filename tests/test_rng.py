@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError
 from entroute.rng import RngStream, hash64, mix64
@@ -78,3 +78,28 @@ def test_sample_distinct():
     assert all(0 <= x < 10 for x in got)
     with pytest.raises(InvalidParameterError):
         RngStream(8).sample(3, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=2**64 - 1000, max_value=2**64 - 1),
+    ),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_random_array_matches_scalar_draws(seed, count):
+    block, scalar = RngStream(seed), RngStream(seed)
+    assert block.random_array(count).tolist() == [scalar.random() for _ in range(count)]
+    assert block.random() == scalar.random()
+
+
+def test_random_array_of_zero_does_not_advance():
+    s = RngStream(17)
+    assert s.random_array(0).tolist() == []
+    assert s.random() == RngStream(17).random()
+
+
+def test_random_array_rejects_negative_count():
+    with pytest.raises(InvalidParameterError):
+        RngStream(0).random_array(-1)
