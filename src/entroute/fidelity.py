@@ -186,6 +186,13 @@ def fidelity_sweep(
     Rows are ordered by (channel, rate, distance); the channel model is
     analytic so each cell is a single exact evaluation.
     """
+    for name, values in (
+        ("dephasing rate", dephasing_rates_hz),
+        ("depolarization rate", depolarization_rates_hz),
+        ("distance", distances_km),
+    ):
+        for value in values:
+            require_finite(name, value)
     dephasing_rates_hz = sorted(dephasing_rates_hz)
     depolarization_rates_hz = sorted(depolarization_rates_hz)
     distances_km = sorted(distances_km)

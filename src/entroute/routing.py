@@ -149,60 +149,98 @@ def shortest_entangled_path(
     return Path(demand_id, tuple(nodes), tuple(edges))
 
 
+def _grow_layer(
+    g: EntangledGraph,
+    flow: list[int],
+    front: list[int],
+    tree: dict[int, tuple[int, int] | None],
+    other: dict[int, tuple[int, int] | None],
+    sign: int,
+) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Grow a BFS tree over the residual graph by one full layer.
+
+    ``sign`` is 1 for the tree rooted at src, which follows arcs
+    ``here -> y``, and -1 for the tree rooted at dst, which follows arcs
+    ``y -> here`` backwards. Links store ``u < v`` and ``flow`` is the net
+    flow from u to v, so the arc ``here -> y`` is closed exactly when
+    ``flow > 0`` for ``here < y`` and ``flow < 0`` for ``here > y``; negating
+    the flow turns that into the test for the reverse arc.
+
+    Stops at the first neighbor that already lies in ``other`` and returns
+    the meeting arc ``(x, y, lid)``, with x in the src tree and y in the dst
+    tree; otherwise returns the next frontier and None.
+    """
+    links = g.links
+    incident = g.incident
+    grown = []
+    for here in front:
+        for y, lid in incident(here):
+            if y in tree or links[lid].allocated:
+                continue
+            f = flow[lid] * sign
+            if f > 0 if here < y else f < 0:
+                continue
+            if y in other:
+                return grown, (here, y, lid) if sign > 0 else (y, here, lid)
+            tree[y] = (here, lid)
+            grown.append(y)
+    return grown, None
+
+
 def st_min_cut(
     g: EntangledGraph, src: int, dst: int, demand_id: int = -1
 ) -> CutResult:
     """Exact minimum s-t cut of the unallocated multigraph.
 
-    Computed by BFS augmentation on unit capacities; by Menger's theorem the
-    cut size equals the maximum number of edge-disjoint s-t paths.
+    A maximum flow on unit capacities, grown one augmenting path at a time;
+    by Menger's theorem its value equals the cut size and the maximum number
+    of edge-disjoint s-t paths. Each augmenting path comes from a
+    bidirectional BFS over the residual graph that expands the smaller
+    frontier by one layer per step. The cut returned is the set of links
+    leaving the nodes reachable from src in the final residual graph. That
+    set is the same for every maximum flow, so the cut does not depend on
+    which augmenting paths were found.
     """
     _check_endpoints(g, src, dst)
     links = g.links
-    usable = [not l.allocated for l in links]
     # Net flow per link, oriented from link.u to link.v.
     flow = [0] * len(links)
-
-    def residual_ok(x: int, lid: int) -> bool:
-        oriented = flow[lid] if x == links[lid].u else -flow[lid]
-        return oriented < 1
-
     value = 0
     while True:
-        parents: dict[int, tuple[int, int] | None] = {src: None}
-        queue = deque([src])
-        found = False
-        while queue and not found:
-            x = queue.popleft()
-            for y, lid in g.incident(x):
-                if y in parents or not usable[lid] or not residual_ok(x, lid):
-                    continue
-                parents[y] = (x, lid)
-                if y == dst:
-                    found = True
-                    break
-                queue.append(y)
-        if not found:
+        fwd: dict[int, tuple[int, int] | None] = {src: None}
+        bwd: dict[int, tuple[int, int] | None] = {dst: None}
+        ffront, bfront = [src], [dst]
+        meet = None
+        while meet is None and ffront and bfront:
+            if len(ffront) <= len(bfront):
+                ffront, meet = _grow_layer(g, flow, ffront, fwd, bwd, 1)
+            else:
+                bfront, meet = _grow_layer(g, flow, bfront, bwd, fwd, -1)
+        if meet is None:
             break
-        node = dst
-        while node != src:
-            x, lid = parents[node]  # type: ignore[misc]
-            flow[lid] += 1 if x == links[lid].u else -1
-            node = x
+        # Push one unit along src ~> x -> y ~> dst.
+        x, y, lid = meet
+        flow[lid] += 1 if x < y else -1
+        while x != src:
+            px, plid = fwd[x]  # type: ignore[misc]
+            flow[plid] += 1 if px < x else -1
+            x = px
+        while y != dst:
+            ny, nlid = bwd[y]  # type: ignore[misc]
+            flow[nlid] += 1 if y < ny else -1
+            y = ny
         value += 1
 
-    reachable = {src}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, lid in g.incident(x):
-            if y not in reachable and usable[lid] and residual_ok(x, lid):
-                reachable.add(y)
-                queue.append(y)
+    # No augmenting path is left. If the forward frontier ran dry, ``fwd``
+    # holds every node reachable from src; otherwise finish its BFS. It can
+    # no longer meet ``bwd``, which holds every node that reaches dst.
+    while ffront:
+        ffront, _ = _grow_layer(g, flow, ffront, fwd, bwd, 1)
     cut = frozenset(
-        l.id
-        for l in links
-        if usable[l.id] and ((l.u in reachable) != (l.v in reachable))
+        lid
+        for x in fwd
+        for y, lid in g.incident(x)
+        if y not in fwd and not links[lid].allocated
     )
     if len(cut) != value:
         raise InvariantViolationError(

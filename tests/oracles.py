@@ -7,11 +7,13 @@ algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
-from entroute.errors import GenerationFailureError
-from entroute.network import PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.errors import GenerationFailureError, InvariantViolationError
+from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.routing import CutResult, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
@@ -174,3 +176,66 @@ def generate_topology_scalar(
         for i in range(node_count)
     )
     return PhysicalNetwork(nodes, links)
+
+
+def st_min_cut_reference(
+    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
+) -> CutResult:
+    """One-directional reference for ``entroute.routing.st_min_cut``.
+
+    Each augmenting path comes from a plain BFS out of src; a last BFS
+    collects the nodes reachable from src in the residual graph, and the cut
+    is every unallocated link with exactly one endpoint among them.
+    """
+    _check_endpoints(g, src, dst)
+    links = g.links
+    usable = [not l.allocated for l in links]
+    # Net flow per link, oriented from link.u to link.v.
+    flow = [0] * len(links)
+
+    def residual_ok(x: int, lid: int) -> bool:
+        oriented = flow[lid] if x == links[lid].u else -flow[lid]
+        return oriented < 1
+
+    value = 0
+    while True:
+        parents: dict[int, tuple[int, int] | None] = {src: None}
+        queue = deque([src])
+        found = False
+        while queue and not found:
+            x = queue.popleft()
+            for y, lid in g.incident(x):
+                if y in parents or not usable[lid] or not residual_ok(x, lid):
+                    continue
+                parents[y] = (x, lid)
+                if y == dst:
+                    found = True
+                    break
+                queue.append(y)
+        if not found:
+            break
+        node = dst
+        while node != src:
+            x, lid = parents[node]  # type: ignore[misc]
+            flow[lid] += 1 if x == links[lid].u else -1
+            node = x
+        value += 1
+
+    reachable = {src}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y, lid in g.incident(x):
+            if y not in reachable and usable[lid] and residual_ok(x, lid):
+                reachable.add(y)
+                queue.append(y)
+    cut = frozenset(
+        l.id
+        for l in links
+        if usable[l.id] and ((l.u in reachable) != (l.v in reachable))
+    )
+    if len(cut) != value:
+        raise InvariantViolationError(
+            f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
+        )
+    return CutResult(demand_id, cut, value)

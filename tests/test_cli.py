@@ -150,6 +150,23 @@ def test_malformed_field_exit_code(field, value, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--dephasing-rates", "dephasing rate must be finite"),
+        ("--depolarization-rates", "depolarization rate must be finite"),
+        ("--distances", "distance must be finite"),
+    ],
+)
+def test_non_finite_fidelity_grid_exit_code(flag, message, value, tmp_path, capsys):
+    out = tmp_path / "fid.csv"
+    assert main(["fidelity", "--config", "fig4", flag, f"1,{value}",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3)

@@ -1,8 +1,11 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroute import routing
 from entroute.errors import InvalidParameterError, InvariantViolationError
-from entroute.network import Demand
+from entroute.generation import generate_entanglement, generate_topology
+from entroute.network import Demand, EntangledGraph
 from entroute.routing import (
     Path,
     RoutingSchedule,
@@ -18,6 +21,7 @@ from oracles import (
     connected,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
+    st_min_cut_reference,
 )
 
 
@@ -148,14 +152,129 @@ def _random_multigraph(rng: RngStream, max_nodes=6, max_edges=12):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_menger_equivalence_small_graphs(seed):
-    n, edges, src, dst = _random_multigraph(RngStream(seed), max_nodes=5, max_edges=8)
+    rng = RngStream(seed)
+    n, edges, src, dst = _random_multigraph(rng, max_nodes=5, max_edges=8)
     g = build_graph(n, edges)
+    allocated = frozenset(lid for lid in range(len(edges)) if rng.random() < 0.3)
+    for lid in allocated:
+        g.links[lid].allocated = True
+    free_edges = [e for lid, e in enumerate(edges) if lid not in allocated]
     cut = st_min_cut(g, src, dst)
-    assert cut.flexibility == max_edge_disjoint_paths_bruteforce(edges, src, dst)
-    assert cut.flexibility == min_cut_size_bruteforce(edges, src, dst)
+    assert cut.flexibility == max_edge_disjoint_paths_bruteforce(free_edges, src, dst)
+    assert cut.flexibility == min_cut_size_bruteforce(free_edges, src, dst)
     assert len(cut.cut_edge_ids) == cut.flexibility
-    if cut.flexibility > 0:
-        assert not connected(edges, src, dst, cut.cut_edge_ids)
+    assert not cut.cut_edge_ids & allocated
+    assert not connected(edges, src, dst, cut.cut_edge_ids | allocated)
+    assert cut == st_min_cut_reference(g, src, dst)
+
+
+def _generated_graph(node_count: int, seed: int, allocated_share: float) -> EntangledGraph:
+    """A generated entangled graph with a seeded share of its links allocated."""
+    rng = RngStream(seed)
+    net = generate_topology(node_count, 7.44, 11, rng.substream(1))
+    g = generate_entanglement(net, 0.05, rng.substream(2))
+    marks = rng.substream(3)
+    for link in g.links:
+        if marks.random() < allocated_share:
+            link.allocated = True
+    return g
+
+
+def _endpoint_pairs(g: EntangledGraph, rng: RngStream, count: int):
+    """Random pairs, then the endpoints of sampled free links both ways."""
+    n = g.node_count
+    pairs = []
+    for _ in range(count):
+        src = rng.randrange(n)
+        pairs.append((src, (src + 1 + rng.randrange(n - 1)) % n))
+    free = [l for l in g.links if not l.allocated]
+    for index in rng.sample(len(free), min(count // 4, len(free))):
+        pairs += [(free[index].u, free[index].v), (free[index].v, free[index].u)]
+    return pairs
+
+
+class TestStMinCutAgainstReference:
+    """The bidirectional search against the one-directional reference.
+
+    Both return the cut around the residual source side, which every maximum
+    flow shares, so the cut link ids must agree and not just their count.
+    """
+
+    @pytest.mark.parametrize("node_count", [50, 100, 250])
+    def test_generated_graphs(self, node_count, monkeypatch):
+        dried: list[int] = []
+        grow = routing._grow_layer
+
+        def watched(g, flow, front, tree, other, sign):
+            grown, meet = grow(g, flow, front, tree, other, sign)
+            if not grown and meet is None:
+                dried.append(sign)
+            return grown, meet
+
+        monkeypatch.setattr(routing, "_grow_layer", watched)
+        seen = {"adjacent": 0, "parallel": 0, "disconnected": 0,
+                "backward_dry": 0, "forward_dry": 0}
+        for case, share in enumerate((0.0, 0.3, 0.6)):
+            g = _generated_graph(node_count, 1000 * node_count + case, share)
+            rng = RngStream(node_count).substream(case)
+            pairs = _endpoint_pairs(g, rng, 60)
+            # Cut one node off by allocating its links.
+            lonely = rng.randrange(g.node_count)
+            for _, lid in g.incident(lonely):
+                g.links[lid].allocated = True
+            pairs += [(lonely, (lonely + 1) % g.node_count),
+                      ((lonely + 2) % g.node_count, lonely)]
+            for src, dst in pairs:
+                free = [lid for y, lid in g.incident(src)
+                        if y == dst and not g.links[lid].allocated]
+                dried.clear()
+                cut = st_min_cut(g, src, dst, 7)
+                assert cut == st_min_cut_reference(g, src, dst, 7), (case, src, dst)
+                seen["adjacent"] += len(free) > 0
+                seen["parallel"] += len(free) > 1
+                seen["disconnected"] += cut.flexibility == 0
+                seen["backward_dry" if -1 in dried else "forward_dry"] += 1
+        assert all(seen.values()), seen
+
+
+def _networkx_max_flow(g: EntangledGraph, src: int, dst: int) -> int:
+    """Max flow with one unit of capacity per free link in each direction."""
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(g.node_count))
+    for link in g.links:
+        if link.allocated:
+            continue
+        for a, b in ((link.u, link.v), (link.v, link.u)):
+            if digraph.has_edge(a, b):
+                digraph[a][b]["capacity"] += 1
+            else:
+                digraph.add_edge(a, b, capacity=1)
+    return nx.maximum_flow_value(digraph, src, dst)
+
+
+@pytest.mark.parametrize("node_count", [20, 100, 250])
+def test_flexibility_matches_networkx(node_count):
+    for case, share in enumerate((0.0, 0.4)):
+        g = _generated_graph(node_count, 2000 * node_count + case, share)
+        for src, dst in _endpoint_pairs(g, RngStream(node_count).substream(case, 1), 25):
+            assert st_min_cut(g, src, dst).flexibility == _networkx_max_flow(
+                g, src, dst
+            ), (case, src, dst)
+
+
+def test_flow_cut_mismatch_raises(monkeypatch):
+    g = build_graph(2, [(0, 1)])
+    grow = routing._grow_layer
+
+    def allocate_when_dry(g, flow, front, tree, other, sign):
+        grown, meet = grow(g, flow, front, tree, other, sign)
+        if not grown and meet is None:  # the flow is final; corrupt the cut
+            g.links[0].allocated = True
+        return grown, meet
+
+    monkeypatch.setattr(routing, "_grow_layer", allocate_when_dry)
+    with pytest.raises(InvariantViolationError, match="max-flow/min-cut mismatch"):
+        st_min_cut(g, 0, 1)
 
 
 def test_path_rejects_malformed():
