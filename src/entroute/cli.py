@@ -64,8 +64,9 @@ def _open_out(path: str | None):
 
 
 def _parse_float_list(text: str) -> list[float]:
+    """Comma-separated numbers; an empty entry, trailing comma included, is an error."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"bad numeric list '{text}'") from exc
 

@@ -9,8 +9,9 @@ Every simulation instance derives its seed as
 and splits it into fixed-purpose substreams: hash64(child, 0) drives
 topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
 sampling, and hash64(child, 3) the randomized scheduler.  Within one
-instance every selected algorithm consumes an identical copy of the
-entangled graph and demand set; a digest of the serialized graph is checked
+instance every selected algorithm gets the same entangled graph and demand
+set; each scheduler claims links only in its own ``copy()`` of the graph's
+allocation flags. A digest of the serialized graph and its flags is checked
 before each run to enforce that.
 
 Raw result rows carry a measured ``runtime_ms``; it is excluded from row
@@ -234,8 +235,8 @@ def run_single(
     def graph_digest() -> str:
         # The wire schema omits allocation flags, so fold them in explicitly:
         # leaked allocations are exactly what this guard must catch.
-        flags = "".join("1" if l.allocated else "0" for l in graph.links)
-        return hashlib.sha256((graph.to_json() + flags).encode()).hexdigest()
+        flags = bytes(graph.allocated)
+        return hashlib.sha256(graph.to_json().encode() + flags).hexdigest()
 
     pristine_digest = graph_digest()
     rows: list[ResultRow] = []

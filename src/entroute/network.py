@@ -6,7 +6,9 @@ unit-weight edges are individual Bell pairs; parallel edges between the same
 node pair are allowed and consume one qubit at each endpoint.
 
 All types are treated as immutable after construction, with one exception:
-``EntangledLink.allocated`` flips when a routing path claims the link.
+``EntangledGraph.allocated``, one flag per link id, flips when a routing
+path claims the link. ``EntangledGraph.copy`` gives each scheduler run its
+own flags over the shared links and adjacency.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class PhysicalLink:
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
 
 @dataclass(slots=True)
@@ -117,7 +116,6 @@ class EntangledLink:
     u: int
     v: int
     physical_distance_km: float
-    allocated: bool = False
 
     def __post_init__(self):
         if self.u > self.v:
@@ -125,26 +123,27 @@ class EntangledLink:
         if self.u == self.v:
             raise InvalidParameterError(f"entangled self-loop at node {self.u}")
 
-    def other_end(self, node_id: int) -> int:
-        return self.v if node_id == self.u else self.u
-
 
 @dataclass(slots=True)
 class EntangledGraph:
     """Multigraph of entangled links over the nodes of a physical network.
 
-    Link ids are contiguous 0..E-1 and double as indices into ``links``.
+    Link ids are contiguous 0..E-1 and double as indices into ``links`` and
+    ``allocated``, whose flag is set once a routing path claims the link.
     Adjacency is sorted by (neighbor, link id) so traversals are
     deterministic.
     """
 
     nodes: tuple[QuantumNode, ...]
-    links: list[EntangledLink]
+    links: tuple[EntangledLink, ...]
     physical: PhysicalNetwork
+    allocated: list[bool] = field(init=False, repr=False)
     _adjacency: list[list[tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
+        self.links = tuple(self.links)
+        self.allocated = [False] * len(self.links)
         for index, link in enumerate(self.links):
             if link.id != index:
                 raise InvalidParameterError(
@@ -181,15 +180,13 @@ class EntangledGraph:
         return self.nodes[node_id].capacity
 
     def copy(self) -> "EntangledGraph":
-        """Independent copy whose allocation flags can be mutated freely."""
+        """Copy with its own allocation flags; everything else is shared."""
         clone = EntangledGraph.__new__(EntangledGraph)
         clone.nodes = self.nodes
-        clone.links = [
-            EntangledLink(l.id, l.u, l.v, l.physical_distance_km, l.allocated)
-            for l in self.links
-        ]
+        clone.links = self.links
         clone.physical = self.physical
-        clone._adjacency = self._adjacency  # topology is shared, flags are not
+        clone.allocated = self.allocated.copy()
+        clone._adjacency = self._adjacency
         return clone
 
     def to_json_dict(self) -> dict:

@@ -1,8 +1,9 @@
 """Path search, s-t min-cut, and the four demand-scheduling algorithms.
 
-All searches operate on the unallocated portion of an entangled multigraph.
-Scheduling never mutates the caller's graph: each scheduler works on a
-private copy and records allocations in the returned schedule.
+All searches operate on the unallocated portion of an entangled multigraph,
+reading ``g.allocated[lid]``. Scheduling never mutates the caller's graph:
+each scheduler works on a ``copy()`` that has its own allocation flags and
+records its paths in the returned schedule.
 
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
@@ -60,7 +61,6 @@ class RoutingSchedule:
     demand_ids: tuple[int, ...]
     paths: dict[int, list[Path]] = field(default_factory=dict)
     k: int = 0
-    consumed_edge_ids: set[int] = field(default_factory=set)
     allocation_sequence: list[int] = field(default_factory=list)
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ def shortest_entangled_path(
     is returned; parallel links resolve to the smallest link id.
     """
     _check_endpoints(g, src, dst)
-    links = g.links
+    allocated = g.allocated
 
     # Hop distances to dst restricted to unallocated links.
     dist = {dst: 0}
@@ -122,7 +122,7 @@ def shortest_entangled_path(
             break
         d_next = dist[x] + 1
         for y, lid in g.incident(x):
-            if y not in dist and not links[lid].allocated:
+            if y not in dist and not allocated[lid]:
                 dist[y] = d_next
                 queue.append(y)
     if src not in dist:
@@ -137,7 +137,7 @@ def shortest_entangled_path(
         step = None
         want = dist[here] - 1
         for y, lid in g.incident(here):
-            if links[lid].allocated or dist.get(y) != want:
+            if allocated[lid] or dist.get(y) != want:
                 continue
             if step is None or (y, lid) < step:
                 step = (y, lid)
@@ -170,12 +170,12 @@ def _grow_layer(
     the meeting arc ``(x, y, lid)``, with x in the src tree and y in the dst
     tree; otherwise returns the next frontier and None.
     """
-    links = g.links
+    allocated = g.allocated
     incident = g.incident
     grown = []
     for here in front:
         for y, lid in incident(here):
-            if y in tree or links[lid].allocated:
+            if y in tree or allocated[lid]:
                 continue
             f = flow[lid] * sign
             if f > 0 if here < y else f < 0:
@@ -202,9 +202,9 @@ def st_min_cut(
     which augmenting paths were found.
     """
     _check_endpoints(g, src, dst)
-    links = g.links
+    allocated = g.allocated
     # Net flow per link, oriented from link.u to link.v.
-    flow = [0] * len(links)
+    flow = [0] * len(allocated)
     value = 0
     while True:
         fwd: dict[int, tuple[int, int] | None] = {src: None}
@@ -240,7 +240,7 @@ def st_min_cut(
         lid
         for x in fwd
         for y, lid in g.incident(x)
-        if y not in fwd and not links[lid].allocated
+        if y not in fwd and not allocated[lid]
     )
     if len(cut) != value:
         raise InvariantViolationError(
@@ -256,15 +256,14 @@ def path_flexibility(g: EntangledGraph, d: Demand) -> int:
 
 def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None:
     """Claim a path's links and append it to its demand's path set."""
-    links = g.links
+    allocated = g.allocated
     for lid in p.edges:
-        if links[lid].allocated:
+        if allocated[lid]:
             raise InvariantViolationError(
                 f"double allocation of entangled link {lid}"
             )
     for lid in p.edges:
-        links[lid].allocated = True
-        schedule.consumed_edge_ids.add(lid)
+        allocated[lid] = True
     schedule.paths.setdefault(p.demand_id, []).append(p)
     schedule.allocation_sequence.append(p.demand_id)
 
@@ -383,7 +382,7 @@ def _random_simple_path(
     exact function of the stream state.
     """
     _check_endpoints(g, src, dst)
-    links = g.links
+    allocated = g.allocated
     parents: dict[int, tuple[int, int] | None] = {src: None}
     stack = [src]
     while stack:
@@ -393,7 +392,7 @@ def _random_simple_path(
         candidates = [
             (y, lid)
             for y, lid in g.incident(x)
-            if y not in parents and not links[lid].allocated
+            if y not in parents and not allocated[lid]
         ]
         rng.shuffle(candidates)
         for y, lid in candidates:
@@ -419,6 +418,7 @@ def _min_distance_path(
     """Minimum total physical distance path over unallocated links."""
     _check_endpoints(g, src, dst)
     links = g.links
+    allocated = g.allocated
 
     # Dijkstra labels toward dst; weights are strictly positive.
     dist: dict[int, float] = {}
@@ -429,7 +429,7 @@ def _min_distance_path(
             continue
         dist[x] = d_x
         for y, lid in g.incident(x):
-            if y not in dist and not links[lid].allocated:
+            if y not in dist and not allocated[lid]:
                 heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
     if src not in dist:
         return None
@@ -441,7 +441,7 @@ def _min_distance_path(
     while here != dst:
         step = None
         for y, lid in g.incident(here):
-            if links[lid].allocated or y not in dist or y in seen:
+            if allocated[lid] or y not in dist or y in seen:
                 continue
             key = (links[lid].physical_distance_km + dist[y], y, lid)
             if step is None or key < step:

@@ -123,7 +123,6 @@ def validate_schedule(schedule, graph, demands) -> None:
                 used.add(eid)
     counts = [len(schedule.paths[d.id]) for d in demands]
     assert schedule.k == min(counts), "k is not the minimum path count"
-    assert schedule.consumed_edge_ids == used
 
 
 def _spans_all_nodes(node_count: int, edges: list[Edge]) -> bool:
@@ -189,7 +188,7 @@ def st_min_cut_reference(
     """
     _check_endpoints(g, src, dst)
     links = g.links
-    usable = [not l.allocated for l in links]
+    usable = [not flag for flag in g.allocated]
     # Net flow per link, oriented from link.u to link.v.
     flow = [0] * len(links)
 

@@ -167,6 +167,24 @@ def test_non_finite_fidelity_grid_exit_code(flag, message, value, tmp_path, caps
     assert message in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("value", ["1,,2", "1, ,2", "1,2,"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sweep", "--values"),
+        ("fidelity", "--dephasing-rates"),
+        ("fidelity", "--depolarization-rates"),
+        ("fidelity", "--distances"),
+    ],
+)
+def test_empty_list_entry_exit_code(command, flag, value, config_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config_path, flag, value, "--out", str(out)]) == 2
+    assert f"bad numeric list '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3)

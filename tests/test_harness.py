@@ -234,7 +234,7 @@ class TestFairComparison:
 
         def corrupting(name, g, demands, rmpsa_rng):
             schedule = real(name, g, demands, rmpsa_rng)
-            g.links[0].allocated = True  # violate the shared-graph contract
+            g.allocated[0] = True  # violate the shared-graph contract
             return schedule
 
         monkeypatch.setattr(harness, "_run_algorithm", corrupting)

@@ -77,9 +77,10 @@ def test_entangled_ids_ascending_required():
 def test_copy_isolates_allocation_flags():
     g = build_graph(2, [(0, 1), (0, 1)])
     clone = g.copy()
-    clone.links[0].allocated = True
-    assert not g.links[0].allocated
-    assert clone.links[1].allocated is False
+    clone.allocated[0] = True
+    assert g.allocated == [False, False]
+    assert clone.allocated == [True, False]
+    assert clone.links is g.links
     assert clone.incident(0) == g.incident(0)
 
 

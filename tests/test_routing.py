@@ -47,13 +47,13 @@ class TestShortestPath:
 
     def test_skips_allocated_links(self):
         g = build_graph(2, [(0, 1)])
-        g.links[0].allocated = True
+        g.allocated[0] = True
         assert shortest_entangled_path(g, 0, 1) is None
 
     def test_parallel_links_pick_smallest_id(self):
         g = build_graph(2, [(0, 1), (0, 1)])
         assert shortest_entangled_path(g, 0, 1).edges == (0,)
-        g.links[0].allocated = True
+        g.allocated[0] = True
         assert shortest_entangled_path(g, 0, 1).edges == (1,)
 
     def test_minimum_hop_count_matches_enumeration(self):
@@ -91,7 +91,7 @@ class TestStMinCut:
         assert not connected(edges, 0, 1, cut.cut_edge_ids)
 
     def test_respects_allocation(self, four_cycle):
-        four_cycle.links[0].allocated = True
+        four_cycle.allocated[0] = True
         assert st_min_cut(four_cycle, 0, 1).flexibility == 1
 
 
@@ -114,9 +114,9 @@ class TestAllocatePath:
         g = build_graph(2, [(0, 1)])
         schedule = RoutingSchedule((0,))
         allocate_path(schedule, g, shortest_entangled_path(g, 0, 1, 0))
-        assert g.links[0].allocated
+        assert g.allocated[0]
         assert shortest_entangled_path(g, 0, 1) is None
-        assert schedule.consumed_edge_ids == {0}
+        assert [p.edges for p in schedule.paths[0]] == [(0,)]
 
     def test_parallel_link_survives(self):
         g = build_graph(2, [(0, 1), (0, 1)])
@@ -157,7 +157,7 @@ def test_menger_equivalence_small_graphs(seed):
     g = build_graph(n, edges)
     allocated = frozenset(lid for lid in range(len(edges)) if rng.random() < 0.3)
     for lid in allocated:
-        g.links[lid].allocated = True
+        g.allocated[lid] = True
     free_edges = [e for lid, e in enumerate(edges) if lid not in allocated]
     cut = st_min_cut(g, src, dst)
     assert cut.flexibility == max_edge_disjoint_paths_bruteforce(free_edges, src, dst)
@@ -174,9 +174,9 @@ def _generated_graph(node_count: int, seed: int, allocated_share: float) -> Enta
     net = generate_topology(node_count, 7.44, 11, rng.substream(1))
     g = generate_entanglement(net, 0.05, rng.substream(2))
     marks = rng.substream(3)
-    for link in g.links:
+    for lid in range(g.edge_count):
         if marks.random() < allocated_share:
-            link.allocated = True
+            g.allocated[lid] = True
     return g
 
 
@@ -187,7 +187,7 @@ def _endpoint_pairs(g: EntangledGraph, rng: RngStream, count: int):
     for _ in range(count):
         src = rng.randrange(n)
         pairs.append((src, (src + 1 + rng.randrange(n - 1)) % n))
-    free = [l for l in g.links if not l.allocated]
+    free = [l for l in g.links if not g.allocated[l.id]]
     for index in rng.sample(len(free), min(count // 4, len(free))):
         pairs += [(free[index].u, free[index].v), (free[index].v, free[index].u)]
     return pairs
@@ -221,12 +221,12 @@ class TestStMinCutAgainstReference:
             # Cut one node off by allocating its links.
             lonely = rng.randrange(g.node_count)
             for _, lid in g.incident(lonely):
-                g.links[lid].allocated = True
+                g.allocated[lid] = True
             pairs += [(lonely, (lonely + 1) % g.node_count),
                       ((lonely + 2) % g.node_count, lonely)]
             for src, dst in pairs:
                 free = [lid for y, lid in g.incident(src)
-                        if y == dst and not g.links[lid].allocated]
+                        if y == dst and not g.allocated[lid]]
                 dried.clear()
                 cut = st_min_cut(g, src, dst, 7)
                 assert cut == st_min_cut_reference(g, src, dst, 7), (case, src, dst)
@@ -242,7 +242,7 @@ def _networkx_max_flow(g: EntangledGraph, src: int, dst: int) -> int:
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(g.node_count))
     for link in g.links:
-        if link.allocated:
+        if g.allocated[link.id]:
             continue
         for a, b in ((link.u, link.v), (link.v, link.u)):
             if digraph.has_edge(a, b):
@@ -269,7 +269,7 @@ def test_flow_cut_mismatch_raises(monkeypatch):
     def allocate_when_dry(g, flow, front, tree, other, sign):
         grown, meet = grow(g, flow, front, tree, other, sign)
         if not grown and meet is None:  # the flow is final; corrupt the cut
-            g.links[0].allocated = True
+            g.allocated[0] = True
         return grown, meet
 
     monkeypatch.setattr(routing, "_grow_layer", allocate_when_dry)
