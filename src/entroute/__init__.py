@@ -39,7 +39,6 @@ from .harness import (
 from .metrics import (
     MetricsReport,
     avg_hop_count,
-    compute_k,
     compute_metrics,
     qubit_depletion_ratio,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "apply_depolarizing",
     "avg_hop_count",
     "bell_state",
-    "compute_k",
     "compute_metrics",
     "dmpsa_schedule",
     "entanglement_probability",

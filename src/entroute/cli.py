@@ -28,6 +28,8 @@ from pathlib import Path
 from .errors import GenerationFailureError, InvalidParameterError, InvariantViolationError
 from .fidelity import write_fidelity_csv
 from .harness import (
+    ALGORITHMS,
+    SWEEP_AXES,
     ExperimentConfig,
     load_config,
     run_fidelity,
@@ -120,24 +122,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fidelity(args) -> int:
     config = _resolve_config(args.config)
-    rows = run_fidelity(
-        config,
-        dephasing_rates_hz=(
-            _parse_float_list(args.dephasing_rates)
-            if args.dephasing_rates is not None
-            else None
-        ),
-        depolarization_rates_hz=(
-            _parse_float_list(args.depolarization_rates)
-            if args.depolarization_rates is not None
-            else None
-        ),
-        distances_km=(
-            _parse_float_list(args.distances)
-            if args.distances is not None
-            else (1.0, 2.5, 5.0, 7.5)
-        ),
-    )
+    # Only the grids given on the command line; run_fidelity owns the defaults.
+    grids = {}
+    if args.dephasing_rates is not None:
+        grids["dephasing_rates_hz"] = _parse_float_list(args.dephasing_rates)
+    if args.depolarization_rates is not None:
+        grids["depolarization_rates_hz"] = _parse_float_list(args.depolarization_rates)
+    if args.distances is not None:
+        grids["distances_km"] = _parse_float_list(args.distances)
+    rows = run_fidelity(config, **grids)
     out, close = _open_out(args.out)
     try:
         write_fidelity_csv(rows, out)
@@ -162,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     schedule = sub.add_parser("schedule", help="run one seeded instance")
     schedule.add_argument("--config", required=True)
-    schedule.add_argument("--algorithm", choices=["smpsa", "mcsa", "rmpsa", "dmpsa"])
+    schedule.add_argument("--algorithm", choices=ALGORITHMS)
     schedule.add_argument("--seed", type=int)
     schedule.add_argument("--out")
     schedule.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -170,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--axis", choices=[
-        "avg_capacity", "avg_distance", "node_count", "demand_count", "iterations",
-    ])
+    sweep.add_argument("--axis", choices=SWEEP_AXES)
     sweep.add_argument("--values", help="comma-separated sweep values")
     sweep.add_argument("--seed", type=int)
     sweep.add_argument("--out")

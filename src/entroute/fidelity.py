@@ -51,33 +51,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise and link-timing constants for fidelity experiments.
-
-    ``source_frequency_hz`` is carried along for completeness but does not
-    enter the analytic channels.
-    """
+    """Noise rates and fiber propagation speed for fidelity experiments."""
 
     dephasing_rate_hz: float = 0.0
     depolarization_rate_hz: float = 0.0
-    distance_km: float = 1.0
     propagation_speed_km_per_s: float = 200000.0
-    source_frequency_hz: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
             require_finite(f"noise.{f.name}", getattr(self, f.name))
         if self.dephasing_rate_hz < 0 or self.depolarization_rate_hz < 0:
             raise InvalidParameterError("noise rates must be >= 0")
-        if self.distance_km <= 0:
-            raise InvalidParameterError("distance must be positive")
         if self.propagation_speed_km_per_s <= 0:
             raise InvalidParameterError("propagation speed must be positive")
-        if self.source_frequency_hz < 0:
-            raise InvalidParameterError("source frequency must be >= 0")
-
-    @property
-    def propagation_delay_s(self) -> float:
-        return self.distance_km / self.propagation_speed_km_per_s
 
 
 def bell_state() -> DensityMatrix:

@@ -203,4 +203,4 @@ def generate_entanglement(
                     EntangledLink(next_id, plink.u, plink.v, plink.distance_km)
                 )
                 next_id += 1
-    return EntangledGraph(net.nodes, links, net)
+    return EntangledGraph(links, net)

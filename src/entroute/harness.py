@@ -251,7 +251,7 @@ def run_single(
         start = time.perf_counter()
         schedule = _run_algorithm(name, graph, demands, rmpsa_rng)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        report = compute_metrics(schedule, demands, net)
+        report = compute_metrics(schedule, net)
         rows.append(
             ResultRow(
                 seed=child,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvariantViolationError
-from .network import Demand, PhysicalNetwork
+from .errors import InvalidParameterError
+from .network import PhysicalNetwork
 from .routing import RoutingSchedule
 
 
@@ -21,21 +21,6 @@ class MetricsReport:
     avg_hop_count: float
     depletion_ratio: float
     total_paths: int
-    total_capacity: int
-    consumed_qubits: int
-
-
-def compute_k(schedule: RoutingSchedule, demands) -> int:
-    """Minimum number of allocated paths over the demand set."""
-    demands = tuple(demands)
-    if not demands:
-        raise InvalidParameterError("demand set must be nonempty")
-    counts = []
-    for d in demands:
-        if d.id not in schedule.paths:
-            raise InvariantViolationError(f"schedule is missing demand {d.id}")
-        counts.append(len(schedule.paths[d.id]))
-    return min(counts)
 
 
 def avg_hop_count(schedule: RoutingSchedule) -> float:
@@ -54,14 +39,10 @@ def qubit_depletion_ratio(schedule: RoutingSchedule, net: PhysicalNetwork) -> fl
     return (2 * schedule.total_hops) / capacity
 
 
-def compute_metrics(
-    schedule: RoutingSchedule, demands: tuple[Demand, ...], net: PhysicalNetwork
-) -> MetricsReport:
+def compute_metrics(schedule: RoutingSchedule, net: PhysicalNetwork) -> MetricsReport:
     return MetricsReport(
-        k=compute_k(schedule, demands),
+        k=schedule.k,
         avg_hop_count=avg_hop_count(schedule),
         depletion_ratio=qubit_depletion_ratio(schedule, net),
         total_paths=schedule.total_paths,
-        total_capacity=net.total_capacity(),
-        consumed_qubits=2 * schedule.total_hops,
     )

@@ -56,7 +56,6 @@ class PhysicalLink:
 class PhysicalNetwork:
     nodes: tuple[QuantumNode, ...]
     links: tuple[PhysicalLink, ...]
-    _adjacency: dict[int, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
@@ -65,7 +64,6 @@ class PhysicalNetwork:
         if ids != list(range(len(ids))):
             raise InvalidParameterError("node ids must be contiguous 0..N-1")
         seen_pairs = set()
-        adjacency: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for link in self.links:
             if link.u >= len(ids) or link.v >= len(ids):
                 raise InvalidParameterError(
@@ -75,11 +73,6 @@ class PhysicalNetwork:
             if pair in seen_pairs:
                 raise InvalidParameterError(f"duplicate physical link {pair}")
             seen_pairs.add(pair)
-            adjacency[link.u].append(link.v)
-            adjacency[link.v].append(link.u)
-        for neighbors in adjacency.values():
-            neighbors.sort()
-        self._adjacency = adjacency
 
     @property
     def node_count(self) -> int:
@@ -87,10 +80,6 @@ class PhysicalNetwork:
 
     def capacity_of(self, node_id: int) -> int:
         return self.nodes[node_id].capacity
-
-    def neighbors(self, node_id: int) -> list[int]:
-        """Neighbors of a node in ascending id order."""
-        return self._adjacency[node_id]
 
     def total_capacity(self) -> int:
         return sum(n.capacity for n in self.nodes)
@@ -128,20 +117,18 @@ class EntangledLink:
 class EntangledGraph:
     """Multigraph of entangled links over the nodes of a physical network.
 
-    Link ids are contiguous 0..E-1 and double as indices into ``links`` and
-    ``allocated``, whose flag is set once a routing path claims the link.
-    Adjacency is sorted by (neighbor, link id) so traversals are
-    deterministic.
+    The nodes are those of ``physical``. Link ids are contiguous 0..E-1 and
+    double as indices into ``links`` and ``allocated``, whose flag is set
+    once a routing path claims the link. Adjacency is sorted by (neighbor,
+    link id) so traversals are deterministic.
     """
 
-    nodes: tuple[QuantumNode, ...]
     links: tuple[EntangledLink, ...]
     physical: PhysicalNetwork
     allocated: list[bool] = field(init=False, repr=False)
     _adjacency: list[list[tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
         self.links = tuple(self.links)
         self.allocated = [False] * len(self.links)
         for index, link in enumerate(self.links):
@@ -149,9 +136,10 @@ class EntangledGraph:
                 raise InvalidParameterError(
                     f"entangled link ids must be contiguous, got {link.id} at {index}"
                 )
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        node_count = len(self.physical.nodes)
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         for link in self.links:
-            if link.u >= len(self.nodes) or link.v >= len(self.nodes):
+            if link.u >= node_count or link.v >= node_count:
                 raise InvalidParameterError(
                     f"entangled link ({link.u},{link.v}) references unknown node"
                 )
@@ -162,8 +150,12 @@ class EntangledGraph:
         self._adjacency = adjacency
 
     @property
+    def nodes(self) -> tuple[QuantumNode, ...]:
+        return self.physical.nodes
+
+    @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.physical.nodes)
 
     @property
     def edge_count(self) -> int:
@@ -177,12 +169,11 @@ class EntangledGraph:
         return len(self._adjacency[node_id])
 
     def capacity_of(self, node_id: int) -> int:
-        return self.nodes[node_id].capacity
+        return self.physical.capacity_of(node_id)
 
     def copy(self) -> "EntangledGraph":
         """Copy with its own allocation flags; everything else is shared."""
         clone = EntangledGraph.__new__(EntangledGraph)
-        clone.nodes = self.nodes
         clone.links = self.links
         clone.physical = self.physical
         clone.allocated = self.allocated.copy()

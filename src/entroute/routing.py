@@ -56,16 +56,20 @@ class CutResult:
 
 @dataclass(slots=True)
 class RoutingSchedule:
-    """Edge-disjoint path sets per demand plus the resulting traffic floor k."""
+    """Edge-disjoint path sets per demand and the traffic floor k they give."""
 
     demand_ids: tuple[int, ...]
     paths: dict[int, list[Path]] = field(default_factory=dict)
-    k: int = 0
     allocation_sequence: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         for did in self.demand_ids:
             self.paths.setdefault(did, [])
+
+    @property
+    def k(self) -> int:
+        """Traffic flexibility: the fewest paths that any demand holds."""
+        return min(len(self.paths[d]) for d in self.demand_ids)
 
     @property
     def total_paths(self) -> int:
@@ -268,11 +272,6 @@ def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None
     schedule.allocation_sequence.append(p.demand_id)
 
 
-def _finalize(schedule: RoutingSchedule, demands: tuple[Demand, ...]) -> RoutingSchedule:
-    schedule.k = min(len(schedule.paths[d.id]) for d in demands)
-    return schedule
-
-
 def _validate_demands(g: EntangledGraph, demands) -> tuple[Demand, ...]:
     demands = tuple(demands)
     if not demands:
@@ -303,7 +302,7 @@ def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
         if p is not None:
             allocate_path(schedule, work, p)
             queue.append(d)
-    return _finalize(schedule, demands)
+    return schedule
 
 
 def smpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
@@ -318,7 +317,9 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
     demand_rngs: dict[int, RngStream] = {}
 
     def find_random(work: EntangledGraph, d: Demand) -> Path | None:
-        sub = demand_rngs.setdefault(d.id, rng.substream(d.id))
+        sub = demand_rngs.get(d.id)
+        if sub is None:
+            sub = demand_rngs[d.id] = rng.substream(d.id)
         return _random_simple_path(work, d.src, d.dst, sub, d.id)
 
     return _fcfs_schedule(g, demands, find_random)
@@ -370,7 +371,7 @@ def mcsa_schedule(
             if budgets[d.id] > 0:
                 served.append(d)
         active = served
-    return _finalize(schedule, demands)
+    return schedule
 
 
 def _random_simple_path(

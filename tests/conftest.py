@@ -47,7 +47,7 @@ def build_graph(
     for i, (u, v) in enumerate(edges):
         pair = (min(u, v), max(u, v))
         elinks.append(EntangledLink(i, u, v, distances.get(pair, 1.0)))
-    return EntangledGraph(nodes, elinks, net)
+    return EntangledGraph(elinks, net)
 
 
 @pytest.fixture

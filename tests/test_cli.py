@@ -141,6 +141,8 @@ def test_console_entry_point(config_path, tmp_path):
         ("avg_capacity", math.inf, "avg_capacity must be finite"),
         ("avg_distance_km", math.nan, "avg_distance_km must be finite"),
         ("algorithms", "smpsa", "algorithms must be a list of names"),
+        ("noise", {"distance_km": 50.0}, "unknown noise keys"),
+        ("noise", {"source_frequency_hz": 21.05}, "unknown noise keys"),
     ],
 )
 def test_malformed_field_exit_code(field, value, message, tmp_path, capsys):

@@ -66,15 +66,11 @@ class TestDensityMatrix:
 
 
 class TestNoiseConfig:
-    def test_propagation_delay(self):
-        cfg = NoiseConfig(distance_km=5.0, propagation_speed_km_per_s=200000.0)
-        assert cfg.propagation_delay_s == pytest.approx(2.5e-5)
-
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidParameterError):
             NoiseConfig(dephasing_rate_hz=-1.0)
         with pytest.raises(InvalidParameterError):
-            NoiseConfig(distance_km=0.0)
+            NoiseConfig(propagation_speed_km_per_s=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, "1e6", None, True])
     def test_rejects_non_finite_or_non_numeric(self, value):

@@ -79,13 +79,15 @@ class TestExperimentConfig:
                     "algorithms": ["smpsa", "mcsa"],
                     "iterations": 2,
                     "master_seed": 5,
-                    "noise": {"dephasing_rate_hz": 100.0, "distance_km": 2.5},
+                    "noise": {"dephasing_rate_hz": 100.0, "propagation_speed_km_per_s": 2.5},
                 }
             )
         )
         config = load_config(str(path))
         assert config.algorithms == ("smpsa", "mcsa")
-        assert config.noise == NoiseConfig(dephasing_rate_hz=100.0, distance_km=2.5)
+        assert config.noise == NoiseConfig(
+            dephasing_rate_hz=100.0, propagation_speed_km_per_s=2.5
+        )
 
     def test_null_noise_keeps_defaults(self):
         config = ExperimentConfig.from_dict(

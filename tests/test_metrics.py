@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroute.errors import InvalidParameterError, InvariantViolationError
+from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_topology
 from entroute.metrics import (
     avg_hop_count,
-    compute_k,
     compute_metrics,
     qubit_depletion_ratio,
 )
@@ -22,8 +21,6 @@ def _schedule_with(path_specs):
     for did, paths in path_specs.items():
         for nodes, edges in paths:
             schedule.paths[did].append(Path(did, nodes, edges))
-    counts = [len(v) for v in schedule.paths.values()]
-    schedule.k = min(counts) if counts else 0
     return schedule
 
 
@@ -35,24 +32,17 @@ class TestComputeK:
                 1: [((3, 4), (3,)), ((3, 5), (4,)), ((3, 6), (5,))],
             }
         )
-        demands = (Demand(0, 0, 1), Demand(1, 3, 4))
-        assert compute_k(schedule, demands) == 2
+        assert schedule.k == 2
 
     def test_zero_when_any_demand_empty(self):
         schedule = _schedule_with({0: [((0, 1), (0,))], 1: []})
-        assert compute_k(schedule, (Demand(0, 0, 1), Demand(1, 2, 3))) == 0
+        assert schedule.k == 0
 
     def test_uniform_counts(self):
         schedule = _schedule_with(
             {i: [((0, 1), (0,))] * 4 for i in range(3)}
         )
-        demands = tuple(Demand(i, 0, 1) for i in range(3))
-        assert compute_k(schedule, demands) == 4
-
-    def test_missing_demand_is_an_error(self):
-        schedule = _schedule_with({0: []})
-        with pytest.raises(InvariantViolationError):
-            compute_k(schedule, (Demand(0, 0, 1), Demand(5, 2, 3)))
+        assert schedule.k == 4
 
 
 class TestAvgHopCount:
@@ -113,10 +103,9 @@ def test_consumption_accounting_property(seed):
     g = generate_entanglement(net, 0.03, rng.substream(1))
     demands = (Demand(0, 0, n - 1), Demand(1, 1, n - 2))
     schedule = smpsa_schedule(g, demands)
-    report = compute_metrics(schedule, demands, net)
+    report = compute_metrics(schedule, net)
     total_hops = sum(p.hop_count for ps in schedule.paths.values() for p in ps)
-    assert report.consumed_qubits == 2 * total_hops
-    assert report.depletion_ratio == report.consumed_qubits / report.total_capacity
+    assert report.depletion_ratio == 2 * total_hops / net.total_capacity()
     assert 0.0 <= report.depletion_ratio <= 1.0
-    assert report.k == compute_k(schedule, demands)
+    assert report.k == min(len(schedule.paths[d.id]) for d in demands)
     assert report.k == 0 or all(len(schedule.paths[d.id]) > 0 for d in demands)

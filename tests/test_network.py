@@ -61,7 +61,7 @@ def test_serialization_schema():
         '{"nodes":[{"id":0,"capacity":3},{"id":1,"capacity":2}],'
         '"links":[{"u":0,"v":1,"distance_km":7.44}]}'
     )
-    g = EntangledGraph(nodes, [EntangledLink(0, 0, 1, 7.44)], net)
+    g = EntangledGraph([EntangledLink(0, 0, 1, 7.44)], net)
     data = json.loads(g.to_json())
     assert list(data.keys()) == ["nodes", "links", "entangled"]
     assert data["entangled"] == [{"id": 0, "u": 0, "v": 1}]
@@ -71,7 +71,7 @@ def test_entangled_ids_ascending_required():
     nodes = (QuantumNode(0, 2), QuantumNode(1, 2))
     net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
     with pytest.raises(InvalidParameterError):
-        EntangledGraph(nodes, [EntangledLink(1, 0, 1, 1.0)], net)
+        EntangledGraph([EntangledLink(1, 0, 1, 1.0)], net)
 
 
 def test_copy_isolates_allocation_flags():

@@ -158,6 +158,24 @@ class TestRmpsa:
         }
         assert len(serialized) > 1
 
+    def test_one_substream_per_demand(self, monkeypatch):
+        net = generate_topology(30, 7.44, 6, RngStream(31))
+        g = generate_entanglement(net, 0.02, RngStream(32))
+        demands = tuple(Demand(i, i, 29 - i) for i in range(3))
+        keys = []
+        substream = RngStream.substream
+
+        def counting(self, *args):
+            keys.append(args)
+            return substream(self, *args)
+
+        monkeypatch.setattr(RngStream, "substream", counting)
+        schedule = rmpsa_schedule(g, iter(demands), RngStream(77))
+        # A demand is searched once per path it gets and once more, so this
+        # run makes more searches than there are demands.
+        assert schedule.total_paths > len(demands)
+        assert keys == [(d.id,) for d in demands]
+
 
 class TestDmpsa:
     def test_prefers_low_total_distance_over_fewer_hops(self):
