@@ -27,6 +27,7 @@ generated edge set for a fixed seed.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -123,8 +124,12 @@ def generate_topology(
 
     # Distances and capacities are monotone transforms of raw uniforms so
     # that sweeping the averages preserves per-seed orderings.  float() is
-    # the conversion Python applies to an int operand of a float product.
-    distances = (0.5 + rng.random_array(len(edges))) * float(avg_distance_km)
+    # the conversion Python applies to an int operand of a float product.  A
+    # product past the float range saturates at the largest float, so every
+    # finite average gives finite link distances.
+    with np.errstate(over="ignore"):
+        distances = (0.5 + rng.random_array(len(edges))) * float(avg_distance_km)
+    distances = np.minimum(distances, sys.float_info.max)
     links = tuple(
         PhysicalLink(u, v, d) for (u, v), d in zip(edges, distances.tolist())
     )
@@ -145,8 +150,10 @@ def generate_grid(
         raise InvalidParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
     if capacity < 1:
         raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
-    if distance_km <= 0:
-        raise InvalidParameterError("distance must be positive")
+    if not 0 < distance_km < math.inf:
+        raise InvalidParameterError(
+            f"distance must be positive and finite, got {distance_km}"
+        )
 
     nodes = tuple(QuantumNode(i, capacity) for i in range(rows * cols))
     links = []

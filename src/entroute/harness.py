@@ -8,11 +8,11 @@ Every simulation instance derives its seed as
 
 and splits it into fixed-purpose substreams: hash64(child, 0) drives
 topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
-sampling, and hash64(child, 3) the randomized scheduler.  Within one
-instance every selected algorithm gets the same entangled graph and demand
-set; each scheduler claims links only in its own ``copy()`` of the graph's
-allocation flags. A digest of the serialized graph and its flags is checked
-before each run to enforce that.
+sampling, and hash64(child, 3) the randomized scheduler (derived only when
+rmpsa is selected).  Within one instance every selected algorithm gets the
+same entangled graph and demand set; each scheduler claims links only in
+its own ``copy()`` of the graph's allocation flags. A digest of the
+serialized graph and its flags is checked before each run to enforce that.
 
 Raw result rows carry a measured ``runtime_ms``; it is excluded from row
 equality and from the default sweep output so that sweep results are
@@ -199,7 +199,9 @@ def _sample_demands(node_count: int, demand_count: int, rng: RngStream) -> tuple
     return tuple(demands)
 
 
-def _run_algorithm(name: str, g: EntangledGraph, demands, rmpsa_rng: RngStream) -> RoutingSchedule:
+def _run_algorithm(
+    name: str, g: EntangledGraph, demands, rmpsa_rng: RngStream | None
+) -> RoutingSchedule:
     if name == "smpsa":
         return smpsa_schedule(g, demands)
     if name == "mcsa":
@@ -242,12 +244,15 @@ def run_single(
     rows: list[ResultRow] = []
     # Alphabetical algorithm order keeps emitted rows independent of any
     # execution interleaving.
-    for name in sorted(set(config.algorithms)):
+    algorithms = sorted(set(config.algorithms))
+    rmpsa_rng = (
+        RngStream(hash64(child, _STREAM_RMPSA)) if "rmpsa" in algorithms else None
+    )
+    for name in algorithms:
         if graph_digest() != pristine_digest:
             raise InvariantViolationError(
                 "entangled graph changed between algorithm runs"
             )
-        rmpsa_rng = RngStream(hash64(child, _STREAM_RMPSA))
         start = time.perf_counter()
         schedule = _run_algorithm(name, graph, demands, rmpsa_rng)
         elapsed_ms = (time.perf_counter() - start) * 1000.0

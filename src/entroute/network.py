@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf
 
 from .errors import InvalidParameterError
 
@@ -42,9 +43,10 @@ class PhysicalLink:
     def __post_init__(self):
         if self.u == self.v:
             raise InvalidParameterError(f"self-loop at node {self.u}")
-        if self.distance_km <= 0:
+        if not 0 < self.distance_km < inf:
             raise InvalidParameterError(
-                f"link ({self.u},{self.v}): distance must be positive"
+                f"link ({self.u},{self.v}): distance must be positive and finite,"
+                f" got {self.distance_km}"
             )
         if self.u > self.v:
             u, v = self.u, self.v
@@ -65,7 +67,8 @@ class PhysicalNetwork:
             raise InvalidParameterError("node ids must be contiguous 0..N-1")
         seen_pairs = set()
         for link in self.links:
-            if link.u >= len(ids) or link.v >= len(ids):
+            # Endpoints are stored as u < v, so these two bounds cover both.
+            if link.u < 0 or link.v >= len(ids):
                 raise InvalidParameterError(
                     f"link ({link.u},{link.v}) references unknown node"
                 )
@@ -111,6 +114,11 @@ class EntangledLink:
             self.u, self.v = self.v, self.u
         if self.u == self.v:
             raise InvalidParameterError(f"entangled self-loop at node {self.u}")
+        if not 0 < self.physical_distance_km < inf:
+            raise InvalidParameterError(
+                f"entangled link {self.id}: distance must be positive and finite,"
+                f" got {self.physical_distance_km}"
+            )
 
 
 @dataclass(slots=True)
@@ -131,20 +139,20 @@ class EntangledGraph:
     def __post_init__(self):
         self.links = tuple(self.links)
         self.allocated = [False] * len(self.links)
+        node_count = len(self.physical.nodes)
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         for index, link in enumerate(self.links):
             if link.id != index:
                 raise InvalidParameterError(
                     f"entangled link ids must be contiguous, got {link.id} at {index}"
                 )
-        node_count = len(self.physical.nodes)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
-        for link in self.links:
-            if link.u >= node_count or link.v >= node_count:
+            # Endpoints are stored as u < v, so these two bounds cover both.
+            if link.u < 0 or link.v >= node_count:
                 raise InvalidParameterError(
                     f"entangled link ({link.u},{link.v}) references unknown node"
                 )
-            adjacency[link.u].append((link.v, link.id))
-            adjacency[link.v].append((link.u, link.id))
+            adjacency[link.u].append((link.v, index))
+            adjacency[link.v].append((link.u, index))
         for entries in adjacency:
             entries.sort()
         self._adjacency = adjacency

@@ -5,6 +5,12 @@ reading ``g.allocated[lid]``. Scheduling never mutates the caller's graph:
 each scheduler works on a ``copy()`` that has its own allocation flags and
 records its paths in the returned schedule.
 
+The path searches label only what their answer depends on. The minimum-hop
+search is a bidirectional BFS (Pohl, "Bi-directional search", 1971) that
+stops after the layer where its two trees meet, and the minimum-distance
+search runs Dijkstra from dst only as far as the descent from src needs.
+Both return exactly the path that labeling the whole component would give.
+
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
     sequence, and toward the smallest link id among parallel edges;
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -113,43 +120,82 @@ def shortest_entangled_path(
 
     Among all minimum-hop paths the lexicographically smallest node sequence
     is returned; parallel links resolve to the smallest link id.
+
+    A bidirectional BFS expands the smaller frontier by one full layer per
+    step. The layer in which the two trees first touch is completed, and its
+    nodes that lie in the other tree form the meeting layer: exactly the
+    nodes at one forward depth ``a`` that lie on some shortest path. Walking
+    back from it over the forward BFS layers marks the shortest-path nodes
+    at every depth below ``a``; past it, the backward depths lead to dst.
+    Taking the smallest ``(node, link id)`` among those at each step gives
+    the lexicographic minimum, since each one extends to a shortest path.
     """
     _check_endpoints(g, src, dst)
     allocated = g.allocated
+    incident = g.incident
 
-    # Hop distances to dst restricted to unallocated links.
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        x = queue.popleft()
-        if x == src:
+    # Hop distances from src and to dst over unallocated links.
+    fdist = {src: 0}
+    bdist = {dst: 0}
+    ffront, bfront = [src], [dst]
+    while True:
+        forward = len(ffront) <= len(bfront)
+        if forward:
+            front, tree, other = ffront, fdist, bdist
+        else:
+            front, tree, other = bfront, bdist, fdist
+        depth = tree[front[0]] + 1
+        grown = []
+        meet = []
+        for here in front:
+            for y, lid in incident(here):
+                if y not in tree and not allocated[lid]:
+                    tree[y] = depth
+                    grown.append(y)
+                    if y in other:
+                        meet.append(y)
+        if meet:
             break
-        d_next = dist[x] + 1
-        for y, lid in g.incident(x):
-            if y not in dist and not allocated[lid]:
-                dist[y] = d_next
-                queue.append(y)
-    if src not in dist:
-        return None
+        if not grown:
+            return None
+        if forward:
+            ffront = grown
+        else:
+            bfront = grown
 
-    # Greedy descent: the smallest feasible next node is always extendable
-    # to a minimum-hop completion, which yields the lexicographic minimum.
+    # levels[i] holds the shortest-path nodes at forward depth a - i.
+    levels = [set(meet)]
+    for depth in range(fdist[meet[0]] - 1, 0, -1):
+        below = set()
+        for x in levels[-1]:
+            for y, lid in incident(x):
+                if fdist.get(y) == depth and not allocated[lid]:
+                    below.add(y)
+        levels.append(below)
+
+    # Adjacency is sorted by (neighbor, link id), so the first qualifying
+    # entry of a scan is the smallest.
     nodes = [src]
     edges = []
     here = src
-    while here != dst:
-        step = None
-        want = dist[here] - 1
-        for y, lid in g.incident(here):
-            if allocated[lid] or dist.get(y) != want:
-                continue
-            if step is None or (y, lid) < step:
-                step = (y, lid)
-        if step is None:  # unreachable given the BFS above
+    for level in reversed(levels):
+        for y, lid in incident(here):
+            if y in level and not allocated[lid]:
+                break
+        else:  # unreachable given the marking above
             raise InvariantViolationError("shortest-path descent lost its frontier")
-        nodes.append(step[0])
-        edges.append(step[1])
-        here = step[0]
+        nodes.append(y)
+        edges.append(lid)
+        here = y
+    for want in range(bdist[here] - 1, -1, -1):
+        for y, lid in incident(here):
+            if bdist.get(y) == want and not allocated[lid]:
+                break
+        else:  # unreachable given the backward BFS
+            raise InvariantViolationError("shortest-path descent lost its frontier")
+        nodes.append(y)
+        edges.append(lid)
+        here = y
     return Path(demand_id, tuple(nodes), tuple(edges))
 
 
@@ -416,22 +462,38 @@ def _random_simple_path(
 def _min_distance_path(
     g: EntangledGraph, src: int, dst: int, demand_id: int
 ) -> Path | None:
-    """Minimum total physical distance path over unallocated links."""
+    """Minimum total physical distance path over unallocated links.
+
+    Dijkstra labels distances to dst only as far as the descent from src
+    needs them. It first stops when src pops. A descent step then takes the
+    smallest ``(w + dist[y], y, link id)`` over labeled, unseen neighbors y.
+    An unlabeled node z has ``dist[z]`` at least the smallest key left in
+    the heap, so its own key ``w + dist[z]`` is too; only when the best
+    labeled key reaches that bound does labeling resume, up to it. Every
+    step therefore matches the one over a fully labeled component.
+    """
     _check_endpoints(g, src, dst)
     links = g.links
     allocated = g.allocated
+    incident = g.incident
 
-    # Dijkstra labels toward dst; weights are strictly positive.
+    # Dijkstra labels toward dst; weights are positive and finite.
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, dst)]
-    while heap:
-        d_x, x = heapq.heappop(heap)
-        if x in dist:
-            continue
-        dist[x] = d_x
-        for y, lid in g.incident(x):
-            if y not in dist and not allocated[lid]:
-                heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
+
+    def label_up_to(bound: float, stop: int = -1) -> None:
+        while heap and heap[0][0] <= bound:
+            d_x, x = heapq.heappop(heap)
+            if x in dist:
+                continue
+            dist[x] = d_x
+            for y, lid in incident(x):
+                if y not in dist and not allocated[lid]:
+                    heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
+            if x == stop:
+                return
+
+    label_up_to(math.inf, src)
     if src not in dist:
         return None
 
@@ -440,16 +502,24 @@ def _min_distance_path(
     here = src
     seen = {src}
     while here != dst:
-        step = None
-        for y, lid in g.incident(here):
-            if allocated[lid] or y not in dist or y in seen:
-                continue
-            key = (links[lid].physical_distance_km + dist[y], y, lid)
-            if step is None or key < step:
-                step = key
+        while True:
+            # Scanning in (y, link id) order keeps the first of equal keys.
+            best, step = math.inf, None
+            for y, lid in incident(here):
+                if allocated[lid] or y in seen:
+                    continue
+                d_y = dist.get(y)
+                if d_y is None:
+                    continue
+                key = links[lid].physical_distance_km + d_y
+                if step is None or key < best:
+                    best, step = key, (y, lid)
+            if not heap or best < heap[0][0]:
+                break
+            label_up_to(best)
         if step is None:
             raise InvariantViolationError("distance descent lost its frontier")
-        _, y, lid = step
+        y, lid = step
         nodes.append(y)
         edges.append(lid)
         seen.add(y)

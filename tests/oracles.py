@@ -6,14 +6,16 @@ algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
 from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
-from entroute.routing import CutResult, _check_endpoints
+from entroute.routing import CutResult, Path, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
@@ -151,8 +153,8 @@ def generate_topology_scalar(
 
     One scalar ``rng.random()`` per node pair (u, v), u < v, in row-major
     order per Erdos-Renyi attempt, redrawn until connected within 100
-    attempts; then one per link for its distance and one per node for its
-    capacity.
+    attempts; then one per link for its distance, saturated at the largest
+    float, and one per node for its capacity.
     """
     p = min(1.0, 2.0 * math.log(node_count) / node_count)
     for _ in range(100):
@@ -167,7 +169,10 @@ def generate_topology_scalar(
     else:
         raise GenerationFailureError(f"no connected graph on {node_count} nodes")
     links = tuple(
-        PhysicalLink(u, v, (0.5 + rng.random()) * avg_distance_km) for u, v in edges
+        PhysicalLink(
+            u, v, min((0.5 + rng.random()) * avg_distance_km, sys.float_info.max)
+        )
+        for u, v in edges
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
     nodes = tuple(
@@ -238,3 +243,99 @@ def st_min_cut_reference(
             f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
         )
     return CutResult(demand_id, cut, value)
+
+
+def shortest_entangled_path_reference(
+    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
+) -> Path | None:
+    """One-directional reference for ``entroute.routing.shortest_entangled_path``.
+
+    A plain BFS labels hop distances to dst until src pops; a greedy descent
+    from src then takes the smallest ``(node, link id)`` one hop closer to
+    dst at every step, comparing over each whole adjacency list.
+    """
+    _check_endpoints(g, src, dst)
+    allocated = g.allocated
+
+    # Hop distances to dst restricted to unallocated links.
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        x = queue.popleft()
+        if x == src:
+            break
+        d_next = dist[x] + 1
+        for y, lid in g.incident(x):
+            if y not in dist and not allocated[lid]:
+                dist[y] = d_next
+                queue.append(y)
+    if src not in dist:
+        return None
+
+    # Greedy descent: the smallest feasible next node is always extendable
+    # to a minimum-hop completion, which yields the lexicographic minimum.
+    nodes = [src]
+    edges = []
+    here = src
+    while here != dst:
+        step = None
+        want = dist[here] - 1
+        for y, lid in g.incident(here):
+            if allocated[lid] or dist.get(y) != want:
+                continue
+            if step is None or (y, lid) < step:
+                step = (y, lid)
+        if step is None:  # unreachable given the BFS above
+            raise InvariantViolationError("shortest-path descent lost its frontier")
+        nodes.append(step[0])
+        edges.append(step[1])
+        here = step[0]
+    return Path(demand_id, tuple(nodes), tuple(edges))
+
+
+def min_distance_path_reference(
+    g: EntangledGraph, src: int, dst: int, demand_id: int
+) -> Path | None:
+    """Full-Dijkstra reference for ``entroute.routing._min_distance_path``.
+
+    Labels every node of dst's free component, then descends from src by
+    the smallest ``(w + dist[y], y, link id)`` over unseen neighbors.
+    """
+    _check_endpoints(g, src, dst)
+    links = g.links
+    allocated = g.allocated
+
+    # Dijkstra labels toward dst; weights are strictly positive.
+    dist: dict[int, float] = {}
+    heap: list[tuple[float, int]] = [(0.0, dst)]
+    while heap:
+        d_x, x = heapq.heappop(heap)
+        if x in dist:
+            continue
+        dist[x] = d_x
+        for y, lid in g.incident(x):
+            if y not in dist and not allocated[lid]:
+                heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
+    if src not in dist:
+        return None
+
+    nodes = [src]
+    edges = []
+    here = src
+    seen = {src}
+    while here != dst:
+        step = None
+        for y, lid in g.incident(here):
+            if allocated[lid] or y not in dist or y in seen:
+                continue
+            key = (links[lid].physical_distance_km + dist[y], y, lid)
+            if step is None or key < step:
+                step = key
+        if step is None:
+            raise InvariantViolationError("distance descent lost its frontier")
+        _, y, lid = step
+        nodes.append(y)
+        edges.append(lid)
+        seen.add(y)
+        here = y
+    return Path(demand_id, tuple(nodes), tuple(edges))

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from decimal import Decimal
 
@@ -101,6 +102,13 @@ class TestGenerateTopology:
             generate_topology(10, distance, capacity, RngStream(0))
 
 
+def test_distances_saturate_at_the_largest_float():
+    net = generate_topology(30, sys.float_info.max, 3, RngStream(5))
+    assert all(0 < l.distance_km <= sys.float_info.max for l in net.links)
+    assert sum(l.distance_km == sys.float_info.max for l in net.links) > 1
+    _assert_matches_scalar_oracle(30, sys.float_info.max, 3, 5)
+
+
 def _assert_matches_scalar_oracle(node_count, avg_distance_km, avg_capacity, seed):
     fast_rng, slow_rng = RngStream(seed), RngStream(seed)
     fast = generate_topology(node_count, avg_distance_km, avg_capacity, fast_rng)
@@ -170,6 +178,11 @@ class TestGenerateGrid:
             generate_grid(1, 5, 1.0, 4)
         with pytest.raises(InvalidParameterError):
             generate_grid(5, 1, 1.0, 4)
+
+    @pytest.mark.parametrize("distance", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_non_positive_distance(self, distance):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            generate_grid(3, 3, distance, 4)
 
 
 def _line_network(capacities, distance=1.0):

@@ -140,6 +140,27 @@ class TestRunSingle:
         assert row.total_paths == 0
         assert row.depletion_ratio == 0.0
 
+    @pytest.mark.parametrize(
+        "algorithms, rmpsa_streams",
+        [(("smpsa", "mcsa"), 0), (("smpsa", "mcsa", "rmpsa", "dmpsa"), 1)],
+    )
+    def test_rmpsa_stream_derived_only_for_rmpsa(
+        self, algorithms, rmpsa_streams, monkeypatch
+    ):
+        import entroute.harness as harness
+
+        calls = []
+
+        def recording(*words):
+            calls.append(words)
+            return real(*words)
+
+        real = harness.hash64
+        monkeypatch.setattr(harness, "hash64", recording)
+        run_single(small_config(algorithms=algorithms), 0)
+        child = real(*calls[0])  # the first call derives the instance seed
+        assert calls.count((child, harness._STREAM_RMPSA)) == rmpsa_streams
+
     def test_metrics_are_finite_and_bounded(self):
         for row in run_single(small_config(), 1):
             assert 0.0 <= row.depletion_ratio <= 1.0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,6 +33,18 @@ def test_link_rejects_self_loop_and_bad_distance():
         PhysicalLink(0, 1, 0.0)
 
 
+@pytest.mark.parametrize("distance", [-3.0, math.nan, math.inf, -math.inf])
+def test_link_rejects_non_finite_or_non_positive_distance(distance):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        PhysicalLink(0, 1, distance)
+
+
+@pytest.mark.parametrize("distance", [0.0, -3.0, math.nan, math.inf])
+def test_entangled_link_rejects_non_finite_or_non_positive_distance(distance):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        EntangledLink(0, 0, 1, distance)
+
+
 def test_network_rejects_duplicate_pair():
     nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
     with pytest.raises(InvalidParameterError):
@@ -47,6 +60,21 @@ def test_network_rejects_dangling_link():
     nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
     with pytest.raises(InvalidParameterError):
         PhysicalNetwork(nodes, (PhysicalLink(0, 5, 1.0),))
+
+
+def test_network_rejects_negative_node_id():
+    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+    with pytest.raises(InvalidParameterError, match="unknown node"):
+        PhysicalNetwork(nodes, (PhysicalLink(-1, 1, 1.0),))
+
+
+def test_entangled_graph_rejects_negative_node_id():
+    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+    net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
+    with pytest.raises(InvalidParameterError, match="unknown node"):
+        EntangledGraph([EntangledLink(0, -1, 1, 1.0)], net)
+    with pytest.raises(InvalidParameterError, match="unknown node"):
+        EntangledGraph([EntangledLink(0, 0, 2, 1.0)], net)
 
 
 def test_demand_rejects_equal_endpoints():

@@ -1,10 +1,13 @@
+import itertools
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroute import routing
 from entroute.errors import InvalidParameterError, InvariantViolationError
-from entroute.generation import generate_entanglement, generate_topology
+from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.network import Demand, EntangledGraph
 from entroute.routing import (
     Path,
@@ -21,6 +24,8 @@ from oracles import (
     connected,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
+    min_distance_path_reference,
+    shortest_entangled_path_reference,
     st_min_cut_reference,
 )
 
@@ -284,3 +289,142 @@ def test_path_rejects_malformed():
         Path(0, (1, 2, 1), (0, 1))
     with pytest.raises(InvalidParameterError):
         Path(0, (1, 2, 3), (0,))
+
+
+def _free_multigraph(g: EntangledGraph) -> nx.MultiGraph:
+    """The unallocated links as a networkx multigraph keyed by link id."""
+    multi = nx.MultiGraph()
+    multi.add_nodes_from(range(g.node_count))
+    for link in g.links:
+        if not g.allocated[link.id]:
+            multi.add_edge(link.u, link.v, key=link.id, weight=link.physical_distance_km)
+    return multi
+
+
+def _reference_or_error(kernel, *args):
+    try:
+        return kernel(*args)
+    except InvariantViolationError as error:
+        return type(error)
+
+
+class TestPathKernelsAgainstReference:
+    """The bounded searches against the full-labeling references.
+
+    Whole ``Path``s must agree: node sequence, link ids and demand id.
+    """
+
+    @pytest.mark.parametrize("node_count", [30, 100, 250])
+    def test_generated_graphs(self, node_count):
+        seen = {"adjacent": 0, "parallel": 0, "disconnected": 0, "tie": 0}
+        for case, share in enumerate((0.0, 0.3, 0.6)):
+            g = _generated_graph(node_count, 3000 * node_count + case, share)
+            rng = RngStream(node_count).substream(case, 2)
+            pairs = _endpoint_pairs(g, rng, 60)
+            lonely = rng.randrange(g.node_count)
+            for _, lid in g.incident(lonely):
+                g.allocated[lid] = True
+            pairs += [(lonely, (lonely + 1) % g.node_count),
+                      ((lonely + 2) % g.node_count, lonely)]
+            multi = _free_multigraph(g)
+            for src, dst in pairs:
+                p = shortest_entangled_path(g, src, dst, 5)
+                assert p == shortest_entangled_path_reference(g, src, dst, 5), (
+                    case, src, dst)
+                q = routing._min_distance_path(g, src, dst, 5)
+                assert q == min_distance_path_reference(g, src, dst, 5), (
+                    case, src, dst)
+                seen["adjacent"] += multi.number_of_edges(src, dst) > 0
+                seen["parallel"] += multi.number_of_edges(src, dst) > 1
+                seen["disconnected"] += p is None
+                if p is not None and p.hop_count > 1:
+                    seen["tie"] += len(list(itertools.islice(
+                        nx.all_shortest_paths(multi, src, dst), 2))) > 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (3, 5), (5, 5), (4, 9), (10, 10)])
+    def test_unit_distance_grids(self, rows, cols):
+        """Grids tie hop counts and distance labels at nearly every step."""
+        net = generate_grid(rows, cols, 1.0, 4)
+        rng = RngStream(rows * 100 + cols)
+        g = generate_entanglement(net, 0.0, rng.substream(0))
+        marks = rng.substream(1)
+        for share in (0.0, 0.3):
+            h = g.copy()
+            for lid in range(h.edge_count):
+                if marks.random() < share:
+                    h.allocated[lid] = True
+            n = h.node_count
+            pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+            if len(pairs) > 600:
+                pairs = [pairs[i] for i in rng.substream(2).sample(len(pairs), 600)]
+            for src, dst in pairs:
+                assert shortest_entangled_path(h, src, dst) == (
+                    shortest_entangled_path_reference(h, src, dst)), (share, src, dst)
+                assert routing._min_distance_path(h, src, dst, 0) == (
+                    min_distance_path_reference(h, src, dst, 0)), (share, src, dst)
+
+    def test_near_zero_weight_detour(self):
+        """A link that rounds away ties a later-popped node with src.
+
+        Links 0-1 (1e-20), 1-2 and 0-2 (both 1): node 1 pops after src with
+        the same label, and its key 1e-20 + 1 == 1 ties dst's while its id
+        is smaller, so the descent must see node 1's label.
+        """
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2)],
+                        distances={(0, 1): 1e-20, (1, 2): 1.0, (0, 2): 1.0})
+        p = routing._min_distance_path(g, 0, 2, 0)
+        assert p == min_distance_path_reference(g, 0, 2, 0)
+        assert p.nodes == (0, 1, 2)
+
+    def test_near_zero_weight_backtrack(self):
+        """The descent steps onto a node whose only way on is labeled late.
+
+        The reference walks 0, 1, 2 on tied labels of 1 and then has to
+        leave node 2 through node 4, whose label 6 exceeds src's 2.
+        """
+        g = build_graph(
+            5,
+            [(0, 1), (0, 2), (1, 3), (1, 2), (2, 4), (3, 4)],
+            distances={(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (1, 2): 1e-20,
+                       (2, 4): 5.0, (3, 4): 10.0},
+        )
+        p = routing._min_distance_path(g, 0, 3, 0)
+        assert p == min_distance_path_reference(g, 0, 3, 0)
+        assert p.nodes == (0, 1, 2, 4, 3)
+
+    def test_random_multigraphs_with_extreme_weights(self):
+        """Near-zero weights, and weights whose sums overflow to inf."""
+        weights = (1e-20, 1e-300, 0.5, 1.0, 1.0, 2.0, 1e308)
+        rng = RngStream(77)
+        for case in range(400):
+            n, edges, src, dst = _random_multigraph(rng, max_nodes=8, max_edges=16)
+            pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+            g = build_graph(n, edges, distances={
+                pair: weights[rng.randrange(len(weights))] for pair in pairs})
+            for lid in range(g.edge_count):
+                if rng.random() < 0.2:
+                    g.allocated[lid] = True
+            for s, t in ((src, dst), (dst, src)):
+                assert shortest_entangled_path(g, s, t, 1) == (
+                    shortest_entangled_path_reference(g, s, t, 1)), case
+                assert _reference_or_error(routing._min_distance_path, g, s, t, 1) == (
+                    _reference_or_error(min_distance_path_reference, g, s, t, 1)), case
+
+
+@pytest.mark.parametrize("node_count", [30, 120])
+def test_path_lengths_match_networkx(node_count):
+    for case, share in enumerate((0.0, 0.3, 0.6)):
+        g = _generated_graph(node_count, 4000 * node_count + case, share)
+        multi = _free_multigraph(g)
+        for src, dst in _endpoint_pairs(g, RngStream(node_count).substream(case, 3), 40):
+            p = shortest_entangled_path(g, src, dst)
+            q = routing._min_distance_path(g, src, dst, -1)
+            if not nx.has_path(multi, src, dst):
+                assert p is None and q is None, (case, src, dst)
+                continue
+            assert p.hop_count == nx.shortest_path_length(multi, src, dst), (case, src, dst)
+            length = sum(g.links[lid].physical_distance_km for lid in q.edges)
+            assert math.isclose(
+                length, nx.dijkstra_path_length(multi, src, dst), rel_tol=1e-12
+            ), (case, src, dst)
