@@ -9,21 +9,23 @@ Subcommands:
                        [--depolarization-rates ...] [--distances ...] [--out PATH]
     entroute gridcheck --rows R --cols C --demands D --seed N
 
-Exit codes: 0 success, 2 configuration error, 3 generation failure,
-4 internal invariant breach.
+Exit codes: 0 success, 2 configuration error (an unwritable ``--out`` or
+``--raw`` among them), 3 generation failure, 4 internal invariant breach.
+Every positive finite ``avg_distance_km`` runs: link distances saturate at
+the largest float over the node count, so no path length overflows.
 
 ``--config`` accepts a path or the name of a shipped preset (fig4, fig5a,
-fig5b, fig5c, fig5d, fig6).
+fig5b, fig5c, fig5d, fig6). ``--out`` and ``--raw`` write to stdout when
+absent or ``-``; files are opened only after the run succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .errors import GenerationFailureError, InvalidParameterError, InvariantViolationError
 from .fidelity import write_fidelity_csv
@@ -45,24 +47,28 @@ EXIT_CONFIG = 2
 EXIT_GENERATION = 3
 EXIT_INVARIANT = 4
 
-PRESETS = ("fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6")
 
-
-def _resolve_config(name_or_path: str) -> ExperimentConfig:
-    if Path(name_or_path).exists():
-        return load_config(name_or_path)
-    if name_or_path in PRESETS:
-        text = resources.files("entroute").joinpath(
-            f"presets/{name_or_path}.json"
-        ).read_text()
-        return ExperimentConfig.from_dict(json.loads(text))
-    raise InvalidParameterError(f"config not found: {name_or_path}")
-
-
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Where ``--out`` or ``--raw`` writes: stdout for None or ``-``, else the file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
+    with handle:
+        yield handle
+
+
+def _write_rows(rows, path: str | None, fmt: str, write_csv) -> None:
+    with _output(path) as out:
+        if fmt == "json":
+            json.dump([dataclasses.asdict(r) for r in rows], out, indent=2)
+            out.write("\n")
+        else:
+            write_csv(rows, out)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -73,55 +79,37 @@ def _parse_float_list(text: str) -> list[float]:
         raise InvalidParameterError(f"bad numeric list '{text}'") from exc
 
 
+def _config(args) -> ExperimentConfig:
+    """``--config`` with the overrides that the subcommand's flags give."""
+    config = load_config(args.config)
+    overrides = {}
+    if getattr(args, "algorithm", None) is not None:
+        overrides["algorithms"] = (args.algorithm,)
+    if getattr(args, "seed", None) is not None:
+        overrides["master_seed"] = args.seed
+    if getattr(args, "axis", None) is not None:
+        overrides["sweep_axis"] = args.axis
+    if getattr(args, "values", None) is not None:
+        overrides["sweep_values"] = tuple(_parse_float_list(args.values))
+    return dataclasses.replace(config, **overrides)
+
+
 def _cmd_schedule(args) -> int:
-    config = _resolve_config(args.config)
-    if args.algorithm is not None:
-        config = dataclasses.replace(config, algorithms=(args.algorithm,))
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    rows = run_single(config, 0)
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump([dataclasses.asdict(r) for r in rows], out, indent=2)
-            out.write("\n")
-        else:
-            write_raw_csv(rows, out)
-    finally:
-        if close:
-            out.close()
+    rows = run_single(_config(args), 0)
+    _write_rows(rows, args.out, args.format, write_raw_csv)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    config = _resolve_config(args.config)
-    if args.axis is not None:
-        config = dataclasses.replace(config, sweep_axis=args.axis)
-    if args.values is not None:
-        config = dataclasses.replace(
-            config, sweep_values=tuple(_parse_float_list(args.values))
-        )
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    result = run_sweep(config)
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump([dataclasses.asdict(a) for a in result.aggregates], out, indent=2)
-            out.write("\n")
-        else:
-            write_aggregate_csv(result.aggregates, out)
-    finally:
-        if close:
-            out.close()
+    result = run_sweep(_config(args))
+    _write_rows(result.aggregates, args.out, args.format, write_aggregate_csv)
     if args.raw is not None:
-        with open(args.raw, "w", encoding="utf-8", newline="") as raw_out:
-            write_raw_csv(result.raw_rows, raw_out)
+        _write_rows(result.raw_rows, args.raw, "csv", write_raw_csv)
     return EXIT_OK
 
 
 def _cmd_fidelity(args) -> int:
-    config = _resolve_config(args.config)
+    config = load_config(args.config)
     # Only the grids given on the command line; run_fidelity owns the defaults.
     grids = {}
     if args.dephasing_rates is not None:
@@ -131,12 +119,8 @@ def _cmd_fidelity(args) -> int:
     if args.distances is not None:
         grids["distances_km"] = _parse_float_list(args.distances)
     rows = run_fidelity(config, **grids)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_fidelity_csv(rows, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Random topologies are Erdos-Renyi G(n, p) with p = min(1, 2 ln n / n),
 redrawn until connected (bounded retries).  Link distances are uniform on
-[0.5, 1.5] times the requested average; node capacities are uniform integers
+[0.5, 1.5] times the requested average, saturated at the largest float over
+n so that path lengths stay finite; node capacities are uniform integers
 on [1, round(2 * avg - 1)] so their mean tracks the requested average while
 staying >= 1.
 
@@ -124,12 +125,12 @@ def generate_topology(
 
     # Distances and capacities are monotone transforms of raw uniforms so
     # that sweeping the averages preserves per-seed orderings.  float() is
-    # the conversion Python applies to an int operand of a float product.  A
-    # product past the float range saturates at the largest float, so every
-    # finite average gives finite link distances.
+    # the conversion Python applies to an int operand of a float product.
+    # Distances saturate at the largest float over the node count: a simple
+    # path has at most n - 1 links, so no path length overflows to inf.
     with np.errstate(over="ignore"):
         distances = (0.5 + rng.random_array(len(edges))) * float(avg_distance_km)
-    distances = np.minimum(distances, sys.float_info.max)
+    distances = np.minimum(distances, sys.float_info.max / node_count)
     links = tuple(
         PhysicalLink(u, v, d) for (u, v), d in zip(edges, distances.tolist())
     )

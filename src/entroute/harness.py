@@ -25,6 +25,8 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from importlib import resources
+from pathlib import Path
 
 from .errors import (
     InvalidParameterError,
@@ -131,12 +133,21 @@ class ExperimentConfig:
             raise InvalidParameterError(str(exc)) from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(name_or_path: str) -> ExperimentConfig:
+    """Config from a JSON file or, if no such file exists, a shipped preset.
+
+    A file takes precedence over the preset of the same name, so adding a
+    preset is adding ``presets/<name>.json``.
+    """
+    source = Path(name_or_path)
+    if not source.exists():
+        source = resources.files("entroute").joinpath(f"presets/{name_or_path}.json")
+        if not source.is_file():
+            raise InvalidParameterError(f"config not found: {name_or_path}")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = json.loads(source.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
-        raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidParameterError(f"cannot read config {name_or_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameterError("config root must be a JSON object")
     return ExperimentConfig.from_dict(data)

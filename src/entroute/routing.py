@@ -306,6 +306,8 @@ def path_flexibility(g: EntangledGraph, d: Demand) -> int:
 
 def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None:
     """Claim a path's links and append it to its demand's path set."""
+    if p.demand_id not in schedule.paths:
+        raise InvalidParameterError(f"path for unknown demand {p.demand_id}")
     allocated = g.allocated
     for lid in p.edges:
         if allocated[lid]:
@@ -314,7 +316,7 @@ def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None
             )
     for lid in p.edges:
         allocated[lid] = True
-    schedule.paths.setdefault(p.demand_id, []).append(p)
+    schedule.paths[p.demand_id].append(p)
     schedule.allocation_sequence.append(p.demand_id)
 
 

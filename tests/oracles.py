@@ -154,7 +154,7 @@ def generate_topology_scalar(
     One scalar ``rng.random()`` per node pair (u, v), u < v, in row-major
     order per Erdos-Renyi attempt, redrawn until connected within 100
     attempts; then one per link for its distance, saturated at the largest
-    float, and one per node for its capacity.
+    float over the node count, and one per node for its capacity.
     """
     p = min(1.0, 2.0 * math.log(node_count) / node_count)
     for _ in range(100):
@@ -168,10 +168,9 @@ def generate_topology_scalar(
             break
     else:
         raise GenerationFailureError(f"no connected graph on {node_count} nodes")
+    cap = sys.float_info.max / node_count
     links = tuple(
-        PhysicalLink(
-            u, v, min((0.5 + rng.random()) * avg_distance_km, sys.float_info.max)
-        )
+        PhysicalLink(u, v, min((0.5 + rng.random()) * avg_distance_km, cap))
         for u, v in edges
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))

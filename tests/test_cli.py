@@ -122,6 +122,38 @@ def test_preset_resolves(tmp_path):
     assert out.read_text().startswith("channel,rate_hz,distance_km,fidelity")
 
 
+def test_out_dash_writes_stdout(config_path, capsys):
+    assert main(["schedule", "--config", config_path, "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("seed,algorithm,sweep_value,k,")
+
+
+@pytest.mark.parametrize(
+    "command, flag, target",
+    [
+        ("schedule", "--out", "missing/rows.csv"),
+        ("sweep", "--out", "missing/agg.csv"),
+        ("sweep", "--raw", "missing/raw.csv"),
+        ("fidelity", "--out", "missing/fid.csv"),
+        ("fidelity", "--out", "."),
+    ],
+)
+def test_unwritable_output_exit_code(command, flag, target, config_path, tmp_path, capsys):
+    path = str(tmp_path / target)
+    assert main([command, "--config", config_path, flag, path]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {path}" in err
+    assert "Traceback" not in err
+
+
+def test_dmpsa_runs_at_the_largest_average_distance(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "avg_distance_km": sys.float_info.max,
+                                  "alpha_per_km": 0.0, "algorithms": ["dmpsa"]}))
+    out = tmp_path / "rows.csv"
+    assert main(["schedule", "--config", str(config), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_console_entry_point(config_path, tmp_path):
     out = tmp_path / "rows.csv"
     proc = subprocess.run(

@@ -15,8 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from entroute.cli import _resolve_config
-from entroute.harness import _substitute_axis, run_grid_check, run_single
+from entroute.harness import _substitute_axis, load_config, run_grid_check, run_single
 
 ITERATIONS = range(6)
 
@@ -42,7 +41,7 @@ def _sha256(records) -> str:
 
 def _run_single_records():
     for name in ("fig5a", "fig5c", "fig5d"):
-        config = _resolve_config(name)
+        config = load_config(name)
         for axis_index, value in enumerate(config.sweep_values):
             sub = _substitute_axis(config, config.sweep_axis, value)
             for iteration in ITERATIONS:

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+import entroute
 from entroute.errors import InvalidParameterError
 from entroute.fidelity import NoiseConfig
 from entroute.harness import (
@@ -18,6 +21,8 @@ from entroute.harness import (
     write_aggregate_csv,
     write_raw_csv,
 )
+
+PRESETS = Path(entroute.__file__).parent / "presets"
 
 
 def small_config(**overrides):
@@ -117,6 +122,19 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError):
             load_config("/nonexistent/config.json")
 
+    def test_load_config_resolves_a_preset_name(self):
+        assert load_config("fig5c") == load_config(str(PRESETS / "fig5c.json"))
+
+    def test_load_config_prefers_a_file_to_a_preset(self, tmp_path, monkeypatch):
+        (tmp_path / "fig5c").write_text(json.dumps({"node_count": 7, "demand_count": 2,
+                                                    "avg_capacity": 3, "avg_distance_km": 1.0}))
+        monkeypatch.chdir(tmp_path)
+        assert load_config("fig5c").node_count == 7
+
+    def test_load_config_unknown_name(self):
+        with pytest.raises(InvalidParameterError, match="config not found: fig99"):
+            load_config("fig99")
+
 
 class TestRunSingle:
     def test_rows_per_algorithm_in_name_order(self):
@@ -160,6 +178,15 @@ class TestRunSingle:
         run_single(small_config(algorithms=algorithms), 0)
         child = real(*calls[0])  # the first call derives the instance seed
         assert calls.count((child, harness._STREAM_RMPSA)) == rmpsa_streams
+
+    def test_dmpsa_runs_at_the_largest_average_distance(self):
+        # Path lengths must stay finite here: at inf every descent key ties
+        # and DMPSA's descent can walk into a dead end.
+        config = small_config(avg_distance_km=sys.float_info.max, alpha_per_km=0.0,
+                              algorithms=("dmpsa",))
+        for iteration in range(5):
+            [row] = run_single(config, iteration)
+            assert row.k >= 0
 
     def test_metrics_are_finite_and_bounded(self):
         for row in run_single(small_config(), 1):

@@ -139,6 +139,15 @@ class TestAllocatePath:
         with pytest.raises(InvariantViolationError):
             allocate_path(schedule, g, p)
 
+    def test_unknown_demand_rejected_before_any_claim(self):
+        g = build_graph(2, [(0, 1)])
+        schedule = RoutingSchedule((0,))
+        with pytest.raises(InvalidParameterError, match="unknown demand 5"):
+            allocate_path(schedule, g, Path(5, (0, 1), (0,)))
+        assert g.allocated == [False]
+        assert schedule.total_paths == 0
+        assert schedule.allocation_sequence == []
+
 
 def _random_multigraph(rng: RngStream, max_nodes=6, max_edges=12):
     n = rng.randint(2, max_nodes)
