@@ -16,7 +16,9 @@ the largest float over the node count, so no path length overflows.
 
 ``--config`` accepts a path or the name of a shipped preset (fig4, fig5a,
 fig5b, fig5c, fig5d, fig6). ``--out`` and ``--raw`` write to stdout when
-absent or ``-``; files are opened only after the run succeeds.
+absent or ``-`` and must not name the same file; files are opened only
+after the run succeeds, all of them before any is written, and a file
+created for a failed write is removed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import GenerationFailureError, InvalidParameterError, InvariantViolationError
@@ -54,21 +57,29 @@ def _output(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
         return
+    existed = os.path.lexists(path)
     try:
         handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
     with handle:
-        yield handle
+        try:
+            yield handle
+        except BaseException:
+            # A file created here goes again if a later output cannot be
+            # opened or a write fails; an existing path is never removed.
+            if not existed:
+                handle.close()
+                os.unlink(path)
+            raise
 
 
-def _write_rows(rows, path: str | None, fmt: str, write_csv) -> None:
-    with _output(path) as out:
-        if fmt == "json":
-            json.dump([dataclasses.asdict(r) for r in rows], out, indent=2)
-            out.write("\n")
-        else:
-            write_csv(rows, out)
+def _write_rows(rows, out, fmt: str, write_csv) -> None:
+    if fmt == "json":
+        json.dump([dataclasses.asdict(r) for r in rows], out, indent=2)
+        out.write("\n")
+    else:
+        write_csv(rows, out)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -96,15 +107,24 @@ def _config(args) -> ExperimentConfig:
 
 def _cmd_schedule(args) -> int:
     rows = run_single(_config(args), 0)
-    _write_rows(rows, args.out, args.format, write_raw_csv)
+    with _output(args.out) as out:
+        _write_rows(rows, out, args.format, write_raw_csv)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    files = [os.path.realpath(p) for p in (args.out, args.raw) if p not in (None, "-")]
+    if len(files) == 2 and files[0] == files[1]:
+        raise InvalidParameterError(f"--out and --raw both name {args.out}")
     result = run_sweep(_config(args))
-    _write_rows(result.aggregates, args.out, args.format, write_aggregate_csv)
-    if args.raw is not None:
-        _write_rows(result.raw_rows, args.raw, "csv", write_raw_csv)
+    # Both targets are open before either is written, so an unwritable one
+    # leaves no file behind.
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_output(args.out))
+        raw = None if args.raw is None else stack.enter_context(_output(args.raw))
+        _write_rows(result.aggregates, out, args.format, write_aggregate_csv)
+        if raw is not None:
+            _write_rows(result.raw_rows, raw, "csv", write_raw_csv)
     return EXIT_OK
 
 

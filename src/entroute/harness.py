@@ -11,8 +11,10 @@ topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
 sampling, and hash64(child, 3) the randomized scheduler (derived only when
 rmpsa is selected).  Within one instance every selected algorithm gets the
 same entangled graph and demand set; each scheduler claims links only in
-its own ``copy()`` of the graph's allocation flags. A digest of the
-serialized graph and its flags is checked before each run to enforce that.
+its own ``copy()`` of the graph's allocation flags. To enforce that, a
+digest of the serialized graph and its flags is taken before the first run
+and checked before each run after the first; a single algorithm needs no
+digest.
 
 Raw result rows carry a measured ``runtime_ms``; it is excluded from row
 equality and from the default sweep output so that sweep results are
@@ -251,16 +253,18 @@ def run_single(
         flags = bytes(graph.allocated)
         return hashlib.sha256(graph.to_json().encode() + flags).hexdigest()
 
-    pristine_digest = graph_digest()
-    rows: list[ResultRow] = []
     # Alphabetical algorithm order keeps emitted rows independent of any
     # execution interleaving.
     algorithms = sorted(set(config.algorithms))
+    # Nothing runs between the pristine digest and the first run, so the
+    # digest is checked only before each later one.
+    pristine_digest = graph_digest() if len(algorithms) > 1 else None
+    rows: list[ResultRow] = []
     rmpsa_rng = (
         RngStream(hash64(child, _STREAM_RMPSA)) if "rmpsa" in algorithms else None
     )
-    for name in algorithms:
-        if graph_digest() != pristine_digest:
+    for position, name in enumerate(algorithms):
+        if position and graph_digest() != pristine_digest:
             raise InvariantViolationError(
                 "entangled graph changed between algorithm runs"
             )

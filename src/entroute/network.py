@@ -13,7 +13,6 @@ own flags over the shared links and adjacency.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import inf
 
@@ -87,17 +86,26 @@ class PhysicalNetwork:
     def total_capacity(self) -> int:
         return sum(n.capacity for n in self.nodes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [{"id": n.id, "capacity": n.capacity} for n in self.nodes],
-            "links": [
-                {"u": l.u, "v": l.v, "distance_km": l.distance_km}
+    def _json_members(self) -> str:
+        """``"nodes":[...],"links":[...]``, the members both graphs share."""
+        nodes = ",".join(
+            [f'{{"id":{n.id},"capacity":{n.capacity}}}' for n in self.nodes]
+        )
+        # json.dumps writes any float, NumPy float64 included, with
+        # float.__repr__ and an int with its plain digits.
+        float_repr = float.__repr__
+        links = ",".join(
+            [
+                f'{{"u":{l.u},"v":{l.v},"distance_km":'
+                f"{float_repr(l.distance_km) if isinstance(l.distance_km, float) else l.distance_km}}}"
                 for l in self.links
-            ],
-        }
+            ]
+        )
+        return f'"nodes":[{nodes}],"links":[{links}]'
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """Compact JSON, byte for byte what ``json.dumps`` would write."""
+        return f"{{{self._json_members()}}}"
 
 
 @dataclass(slots=True)
@@ -188,13 +196,12 @@ class EntangledGraph:
         clone._adjacency = self._adjacency
         return clone
 
-    def to_json_dict(self) -> dict:
-        base = self.physical.to_json_dict()
-        base["entangled"] = [{"id": l.id, "u": l.u, "v": l.v} for l in self.links]
-        return base
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The physical network's JSON plus ``"entangled"``; flags are left out."""
+        entangled = ",".join(
+            [f'{{"id":{l.id},"u":{l.u},"v":{l.v}}}' for l in self.links]
+        )
+        return f'{{{self.physical._json_members()},"entangled":[{entangled}]}}'
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,6 +7,7 @@ algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import sys
 from collections import deque
@@ -144,6 +145,25 @@ def _spans_all_nodes(node_count: int, edges: list[Edge]) -> bool:
             parent[ru] = rv
             components -= 1
     return components == 1
+
+
+def graph_to_json_reference(graph: PhysicalNetwork | EntangledGraph) -> str:
+    """Reference for both ``to_json`` serializers: a dict through ``json.dumps``.
+
+    Takes a ``PhysicalNetwork`` or an ``EntangledGraph``; the latter adds
+    its links under ``"entangled"``. Allocation flags are not serialized.
+    """
+    physical = graph if isinstance(graph, PhysicalNetwork) else graph.physical
+    data = {
+        "nodes": [{"id": n.id, "capacity": n.capacity} for n in physical.nodes],
+        "links": [
+            {"u": l.u, "v": l.v, "distance_km": l.distance_km}
+            for l in physical.links
+        ],
+    }
+    if isinstance(graph, EntangledGraph):
+        data["entangled"] = [{"id": l.id, "u": l.u, "v": l.v} for l in graph.links]
+    return json.dumps(data, separators=(",", ":"))
 
 
 def generate_topology_scalar(

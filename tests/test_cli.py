@@ -145,6 +145,38 @@ def test_unwritable_output_exit_code(command, flag, target, config_path, tmp_pat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "written, name, unwritable, missing",
+    [("--out", "agg.csv", "--raw", "missing/raw.csv"),
+     ("--raw", "raw.csv", "--out", "missing/agg.csv")],
+)
+def test_sweep_leaves_no_file_when_one_output_is_unwritable(
+    written, name, unwritable, missing, config_path, tmp_path, capsys
+):
+    target, missing = tmp_path / name, str(tmp_path / missing)
+    argv = ["sweep", "--config", config_path, written, str(target), unwritable, missing]
+    assert main(argv) == 2
+    assert f"cannot write {missing}" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_sweep_rejects_one_file_for_out_and_raw(config_path, tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    alias = str(tmp_path / "." / "rows.csv")
+    assert main(["sweep", "--config", config_path, "--out", str(target), "--raw", alias]) == 2
+    assert "--out and --raw both name" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_failed_write_keeps_an_existing_path(config_path, tmp_path):
+    target = tmp_path / "agg.csv"
+    target.write_text("old")
+    missing = str(tmp_path / "missing" / "raw.csv")
+    argv = ["sweep", "--config", config_path, "--out", str(target), "--raw", missing]
+    assert main(argv) == 2
+    assert target.exists()
+
+
 def test_dmpsa_runs_at_the_largest_average_distance(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**BASE_CONFIG, "avg_distance_km": sys.float_info.max,

@@ -275,21 +275,71 @@ class TestRunSweep:
         assert agg.mean_total_paths == row.total_paths
 
 
+def _leak_flag(g):
+    g.allocated[0] = True
+
+
+def _move_shared_link(g):
+    link = g.links[0]
+    link.u, link.v = link.v, link.u
+
+
+def _replace_physical_links(g):
+    g.physical.links = g.physical.links[:-1]
+
+
 class TestFairComparison:
-    def test_graph_mutation_between_algorithms_is_caught(self, monkeypatch):
+    ALL = ("dmpsa", "mcsa", "rmpsa", "smpsa")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_leak_flag, _move_shared_link, _replace_physical_links],
+        ids=["leaked_flag", "moved_shared_link", "replaced_physical_links"],
+    )
+    @pytest.mark.parametrize(
+        "position", range(len(ALL) - 1), ids=[f"after_{n}" for n in ALL[:-1]]
+    )
+    def test_graph_mutation_between_algorithms_is_caught(
+        self, corrupt, position, monkeypatch
+    ):
         import entroute.harness as harness
         from entroute.errors import InvariantViolationError
 
         real = harness._run_algorithm
+        ran = []
 
         def corrupting(name, g, demands, rmpsa_rng):
             schedule = real(name, g, demands, rmpsa_rng)
-            g.allocated[0] = True  # violate the shared-graph contract
+            ran.append(name)
+            if name == self.ALL[position]:
+                corrupt(g)  # violate the shared-graph contract
             return schedule
 
         monkeypatch.setattr(harness, "_run_algorithm", corrupting)
         with pytest.raises(InvariantViolationError):
-            run_single(small_config(algorithms=("smpsa", "mcsa")), 0)
+            run_single(small_config(algorithms=self.ALL), 0)
+        assert ran == list(self.ALL[: position + 1])
+
+    @pytest.mark.parametrize(
+        "algorithms",
+        [("smpsa",), ("rmpsa",), ("smpsa", "mcsa"), ("mcsa", "rmpsa", "dmpsa"), ALL],
+        ids="-".join,
+    )
+    def test_graph_serialized_once_per_algorithm_when_compared(
+        self, algorithms, monkeypatch
+    ):
+        from entroute.network import EntangledGraph
+
+        real = EntangledGraph.to_json
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(EntangledGraph, "to_json", counting)
+        run_single(small_config(algorithms=algorithms), 0)
+        assert len(calls) == (len(algorithms) if len(algorithms) > 1 else 0)
 
 
 class TestCsvWriters:

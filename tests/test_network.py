@@ -1,9 +1,12 @@
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from entroute.errors import InvalidParameterError
+from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.network import (
     Demand,
     EntangledGraph,
@@ -12,8 +15,10 @@ from entroute.network import (
     PhysicalNetwork,
     QuantumNode,
 )
+from entroute.rng import RngStream
 
 from conftest import build_graph
+from oracles import graph_to_json_reference
 
 
 def test_node_capacity_must_be_positive():
@@ -116,3 +121,48 @@ def test_multigraph_adjacency_sorted():
     g = build_graph(3, [(0, 2), (0, 1), (0, 1)])
     assert g.incident(0) == [(1, 1), (1, 2), (2, 0)]
     assert g.entangled_degree(0) == 3
+
+
+class TestSerializerOracle:
+    """Both ``to_json`` serializers against the dict-plus-``json.dumps`` body."""
+
+    @staticmethod
+    def assert_matches(graph):
+        assert graph.to_json() == graph_to_json_reference(graph)
+        assert graph.physical.to_json() == graph_to_json_reference(graph.physical)
+
+    @pytest.mark.parametrize("node_count", [50, 100, 150, 200, 250])
+    @pytest.mark.parametrize("allocated_share", [0.0, 0.3])
+    def test_generated_fig5c_graphs(self, node_count, allocated_share):
+        net = generate_topology(node_count, 7.44, 9.09, RngStream(node_count))
+        graph = generate_entanglement(net, 0.05, RngStream(node_count + 1))
+        picks = RngStream(node_count + 2).sample(
+            graph.edge_count, round(allocated_share * graph.edge_count)
+        )
+        for link_id in picks:
+            graph.allocated[link_id] = True
+        self.assert_matches(graph)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (7, 5)])
+    def test_grids(self, rows, cols):
+        net = generate_grid(rows, cols, 1.0, 4)
+        self.assert_matches(generate_entanglement(net, 0.0, RngStream(rows * cols)))
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            5e-324,
+            1e-300,
+            0.1 + 0.2,
+            1e16,
+            1e22,
+            sys.float_info.max / 3,
+            5,
+            np.float64(7.44),
+        ],
+    )
+    def test_hand_built_distances(self, distance):
+        nodes = (QuantumNode(0, 3), QuantumNode(1, 2), QuantumNode(2, 1))
+        plinks = (PhysicalLink(0, 1, distance), PhysicalLink(1, 2, 2.5))
+        elinks = [EntangledLink(0, 1, 0, distance), EntangledLink(1, 0, 1, distance)]
+        self.assert_matches(EntangledGraph(elinks, PhysicalNetwork(nodes, plinks)))
