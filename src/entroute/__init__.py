@@ -45,7 +45,6 @@ from .metrics import (
 from .network import (
     Demand,
     EntangledGraph,
-    EntangledLink,
     PhysicalLink,
     PhysicalNetwork,
     QuantumNode,
@@ -71,7 +70,6 @@ __all__ = [
     "Demand",
     "DensityMatrix",
     "EntangledGraph",
-    "EntangledLink",
     "ExperimentConfig",
     "GenerationFailureError",
     "GridCheckReport",

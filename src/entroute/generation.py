@@ -38,13 +38,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .network import (
-    EntangledGraph,
-    EntangledLink,
-    PhysicalLink,
-    PhysicalNetwork,
-    QuantumNode,
-)
+from .network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
 from .rng import RngStream
 
 CONNECTIVITY_RETRY_BUDGET = 100
@@ -191,13 +185,14 @@ def generate_entanglement(
 
     Attempt counts per link come from the round-based slot pairing, which
     never exceeds either endpoint's qubit budget; failed attempts release
-    their qubits and are not retried.
+    their qubits and are not retried. Each Bell pair is recorded as the
+    physical link it was generated over.
     """
+    require_finite("alpha", alpha)
     if alpha < 0:
         raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
 
-    links: list[EntangledLink] = []
-    next_id = 0
+    links: list[PhysicalLink] = []
     for link_index, (plink, attempts) in enumerate(
         zip(net.links, _slot_pair_counts(net))
     ):
@@ -207,8 +202,5 @@ def generate_entanglement(
         link_rng = rng.substream(link_index)
         for _ in range(attempts):
             if link_rng.random() < p_success:
-                links.append(
-                    EntangledLink(next_id, plink.u, plink.v, plink.distance_km)
-                )
-                next_id += 1
+                links.append(plink)
     return EntangledGraph(links, net)

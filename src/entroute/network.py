@@ -3,7 +3,10 @@
 A physical network is a simple undirected graph of qubit-capacitated nodes.
 Entanglement generation turns it into an entangled multigraph whose
 unit-weight edges are individual Bell pairs; parallel edges between the same
-node pair are allowed and consume one qubit at each endpoint.
+node pair are allowed and consume one qubit at each endpoint. Each Bell pair
+is generated over one fiber, so the multigraph stores it as that fiber's own
+``PhysicalLink``: entangled link ``i`` is ``links[i]``, with the fiber's
+endpoints and distance.
 
 All types are treated as immutable after construction, with one exception:
 ``EntangledGraph.allocated``, one flag per link id, flips when a routing
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,6 +28,9 @@ class QuantumNode:
     capacity: int
 
     def __post_init__(self):
+        # The exact type test spares generated nodes the slower full check.
+        if type(self.capacity) is not int:
+            require_integer(f"node {self.id}: capacity", self.capacity)
         if self.capacity < 1:
             raise InvalidParameterError(
                 f"node {self.id}: capacity must be >= 1, got {self.capacity}"
@@ -109,37 +115,17 @@ class PhysicalNetwork:
 
 
 @dataclass(slots=True)
-class EntangledLink:
-    """One generated Bell pair; unit edge weight, one qubit per endpoint."""
-
-    id: int
-    u: int
-    v: int
-    physical_distance_km: float
-
-    def __post_init__(self):
-        if self.u > self.v:
-            self.u, self.v = self.v, self.u
-        if self.u == self.v:
-            raise InvalidParameterError(f"entangled self-loop at node {self.u}")
-        if not 0 < self.physical_distance_km < inf:
-            raise InvalidParameterError(
-                f"entangled link {self.id}: distance must be positive and finite,"
-                f" got {self.physical_distance_km}"
-            )
-
-
-@dataclass(slots=True)
 class EntangledGraph:
-    """Multigraph of entangled links over the nodes of a physical network.
+    """Multigraph of Bell pairs over the nodes of a physical network.
 
-    The nodes are those of ``physical``. Link ids are contiguous 0..E-1 and
-    double as indices into ``links`` and ``allocated``, whose flag is set
-    once a routing path claims the link. Adjacency is sorted by (neighbor,
-    link id) so traversals are deterministic.
+    ``links`` holds one entry per Bell pair: the ``PhysicalLink`` object of
+    ``physical`` it was generated over, repeated once per pair. A link's id
+    is its index into ``links`` and ``allocated``, whose flag is set once a
+    routing path claims the link. Adjacency is sorted by (neighbor, link id)
+    so traversals are deterministic.
     """
 
-    links: tuple[EntangledLink, ...]
+    links: tuple[PhysicalLink, ...]
     physical: PhysicalNetwork
     allocated: list[bool] = field(init=False, repr=False)
     _adjacency: list[list[tuple[int, int]]] = field(init=False, repr=False)
@@ -147,17 +133,17 @@ class EntangledGraph:
     def __post_init__(self):
         self.links = tuple(self.links)
         self.allocated = [False] * len(self.links)
-        node_count = len(self.physical.nodes)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
+        # Identity, not equality: value hashing of the frozen links is slow,
+        # and an equal copy is not a fiber of this network.
+        fibers = {id(link) for link in self.physical.links}
+        adjacency: list[list[tuple[int, int]]] = [
+            [] for _ in range(len(self.physical.nodes))
+        ]
         for index, link in enumerate(self.links):
-            if link.id != index:
+            if id(link) not in fibers:
                 raise InvalidParameterError(
-                    f"entangled link ids must be contiguous, got {link.id} at {index}"
-                )
-            # Endpoints are stored as u < v, so these two bounds cover both.
-            if link.u < 0 or link.v >= node_count:
-                raise InvalidParameterError(
-                    f"entangled link ({link.u},{link.v}) references unknown node"
+                    f"entangled link {index} ({link.u},{link.v}) is not a"
+                    " link of the physical network"
                 )
             adjacency[link.u].append((link.v, index))
             adjacency[link.v].append((link.u, index))
@@ -199,7 +185,7 @@ class EntangledGraph:
     def to_json(self) -> str:
         """The physical network's JSON plus ``"entangled"``; flags are left out."""
         entangled = ",".join(
-            [f'{{"id":{l.id},"u":{l.u},"v":{l.v}}}' for l in self.links]
+            [f'{{"id":{i},"u":{l.u},"v":{l.v}}}' for i, l in enumerate(self.links)]
         )
         return f'{{{self.physical._json_members()},"entangled":[{entangled}]}}'
 

@@ -67,7 +67,6 @@ class RoutingSchedule:
 
     demand_ids: tuple[int, ...]
     paths: dict[int, list[Path]] = field(default_factory=dict)
-    allocation_sequence: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         for did in self.demand_ids:
@@ -86,23 +85,23 @@ class RoutingSchedule:
     def total_hops(self) -> int:
         return sum(p.hop_count for ps in self.paths.values() for p in ps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "demands": [
-                {
-                    "id": did,
-                    "paths": [
-                        {"nodes": list(p.nodes), "edges": list(p.edges)}
-                        for p in self.paths[did]
-                    ],
-                }
-                for did in self.demand_ids
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return json.dumps(
+            {
+                "k": self.k,
+                "demands": [
+                    {
+                        "id": did,
+                        "paths": [
+                            {"nodes": list(p.nodes), "edges": list(p.edges)}
+                            for p in self.paths[did]
+                        ],
+                    }
+                    for did in self.demand_ids
+                ],
+            },
+            separators=(",", ":"),
+        )
 
 
 def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> None:
@@ -317,7 +316,6 @@ def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None
     for lid in p.edges:
         allocated[lid] = True
     schedule.paths[p.demand_id].append(p)
-    schedule.allocation_sequence.append(p.demand_id)
 
 
 def _validate_demands(g: EntangledGraph, demands) -> tuple[Demand, ...]:
@@ -491,7 +489,7 @@ def _min_distance_path(
             dist[x] = d_x
             for y, lid in incident(x):
                 if y not in dist and not allocated[lid]:
-                    heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
+                    heapq.heappush(heap, (d_x + links[lid].distance_km, y))
             if x == stop:
                 return
 
@@ -513,7 +511,7 @@ def _min_distance_path(
                 d_y = dist.get(y)
                 if d_y is None:
                     continue
-                key = links[lid].physical_distance_km + d_y
+                key = links[lid].distance_km + d_y
                 if step is None or key < best:
                     best, step = key, (y, lid)
             if not heap or best < heap[0][0]:

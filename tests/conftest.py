@@ -2,13 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from entroute.network import (
-    EntangledGraph,
-    EntangledLink,
-    PhysicalLink,
-    PhysicalNetwork,
-    QuantumNode,
-)
+from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
 
 
 def build_graph(
@@ -33,21 +27,13 @@ def build_graph(
         capacities = [max(1, d) for d in degree]
     nodes = tuple(QuantumNode(i, capacities[i]) for i in range(node_count))
 
-    seen_pairs = []
+    fibers: dict[tuple[int, int], PhysicalLink] = {}
     for u, v in edges:
         pair = (min(u, v), max(u, v))
-        if pair not in seen_pairs:
-            seen_pairs.append(pair)
-    plinks = tuple(
-        PhysicalLink(u, v, distances.get((u, v), 1.0)) for u, v in seen_pairs
-    )
-    net = PhysicalNetwork(nodes, plinks)
-
-    elinks = []
-    for i, (u, v) in enumerate(edges):
-        pair = (min(u, v), max(u, v))
-        elinks.append(EntangledLink(i, u, v, distances.get(pair, 1.0)))
-    return EntangledGraph(elinks, net)
+        if pair not in fibers:
+            fibers[pair] = PhysicalLink(u, v, distances.get(pair, 1.0))
+    net = PhysicalNetwork(nodes, tuple(fibers.values()))
+    return EntangledGraph([fibers[min(u, v), max(u, v)] for u, v in edges], net)
 
 
 @pytest.fixture

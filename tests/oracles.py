@@ -162,7 +162,9 @@ def graph_to_json_reference(graph: PhysicalNetwork | EntangledGraph) -> str:
         ],
     }
     if isinstance(graph, EntangledGraph):
-        data["entangled"] = [{"id": l.id, "u": l.u, "v": l.v} for l in graph.links]
+        data["entangled"] = [
+            {"id": i, "u": l.u, "v": l.v} for i, l in enumerate(graph.links)
+        ]
     return json.dumps(data, separators=(",", ":"))
 
 
@@ -253,9 +255,9 @@ def st_min_cut_reference(
                 reachable.add(y)
                 queue.append(y)
     cut = frozenset(
-        l.id
-        for l in links
-        if usable[l.id] and ((l.u in reachable) != (l.v in reachable))
+        lid
+        for lid, l in enumerate(links)
+        if usable[lid] and ((l.u in reachable) != (l.v in reachable))
     )
     if len(cut) != value:
         raise InvariantViolationError(
@@ -334,7 +336,7 @@ def min_distance_path_reference(
         dist[x] = d_x
         for y, lid in g.incident(x):
             if y not in dist and not allocated[lid]:
-                heapq.heappush(heap, (d_x + links[lid].physical_distance_km, y))
+                heapq.heappush(heap, (d_x + links[lid].distance_km, y))
     if src not in dist:
         return None
 
@@ -347,7 +349,7 @@ def min_distance_path_reference(
         for y, lid in g.incident(here):
             if allocated[lid] or y not in dist or y in seen:
                 continue
-            key = (links[lid].physical_distance_km + dist[y], y, lid)
+            key = (links[lid].distance_km + dist[y], y, lid)
             if step is None or key < step:
                 step = key
         if step is None:

@@ -195,6 +195,12 @@ def _line_network(capacities, distance=1.0):
 
 
 class TestGenerateEntanglement:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True])
+    def test_rejects_non_finite_alpha(self, alpha):
+        net = _line_network([2, 2])
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            generate_entanglement(net, alpha, RngStream(0))
+
     def test_huge_alpha_yields_no_edges(self):
         net = generate_topology(20, 7.44, 3, RngStream(5))
         g = generate_entanglement(net, 1e9, RngStream(6))
@@ -240,10 +246,14 @@ class TestGenerateEntanglement:
         b = generate_entanglement(net, 0.05, RngStream(99))
         assert a.to_json() == b.to_json()
 
-    def test_ids_ascending(self):
+    def test_links_are_fibers_in_network_order(self):
         net = generate_topology(30, 7.44, 5, RngStream(11))
         g = generate_entanglement(net, 0.05, RngStream(99))
-        assert [l.id for l in g.links] == list(range(g.edge_count))
+        index = {id(link): i for i, link in enumerate(net.links)}
+        assert g.edge_count > 0
+        assert all(id(link) in index for link in g.links)
+        order = [index[id(link)] for link in g.links]
+        assert order == sorted(order)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -80,9 +80,9 @@ class TestDepletionRatio:
         net = generate_topology(12, 7.44, 2, RngStream(13))
         g = generate_entanglement(net, 0.0, RngStream(14))
         schedule = RoutingSchedule((0,))
-        for link in g.links:
+        for lid, link in enumerate(g.links):
             schedule.paths.setdefault(0, []).append(
-                Path(0, (link.u, link.v), (link.id,))
+                Path(0, (link.u, link.v), (lid,))
             )
         expected = Fraction(2 * g.edge_count, net.total_capacity())
         assert qubit_depletion_ratio(schedule, net) == pytest.approx(float(expected))

@@ -10,7 +10,6 @@ from entroute.generation import generate_entanglement, generate_grid, generate_t
 from entroute.network import (
     Demand,
     EntangledGraph,
-    EntangledLink,
     PhysicalLink,
     PhysicalNetwork,
     QuantumNode,
@@ -26,6 +25,16 @@ def test_node_capacity_must_be_positive():
         QuantumNode(0, 0)
 
 
+@pytest.mark.parametrize("capacity", [1.5, 2.0, math.nan, True])
+def test_node_capacity_must_be_an_integer(capacity):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        QuantumNode(0, capacity)
+
+
+def test_node_capacity_accepts_numpy_integers():
+    assert QuantumNode(0, np.int64(2)).capacity == 2
+
+
 def test_link_normalizes_endpoints():
     link = PhysicalLink(5, 2, 1.0)
     assert (link.u, link.v) == (2, 5)
@@ -38,16 +47,10 @@ def test_link_rejects_self_loop_and_bad_distance():
         PhysicalLink(0, 1, 0.0)
 
 
-@pytest.mark.parametrize("distance", [-3.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("distance", [0.0, -3.0, math.nan, math.inf, -math.inf])
 def test_link_rejects_non_finite_or_non_positive_distance(distance):
     with pytest.raises(InvalidParameterError, match="positive and finite"):
         PhysicalLink(0, 1, distance)
-
-
-@pytest.mark.parametrize("distance", [0.0, -3.0, math.nan, math.inf])
-def test_entangled_link_rejects_non_finite_or_non_positive_distance(distance):
-    with pytest.raises(InvalidParameterError, match="positive and finite"):
-        EntangledLink(0, 0, 1, distance)
 
 
 def test_network_rejects_duplicate_pair():
@@ -73,13 +76,16 @@ def test_network_rejects_negative_node_id():
         PhysicalNetwork(nodes, (PhysicalLink(-1, 1, 1.0),))
 
 
-def test_entangled_graph_rejects_negative_node_id():
-    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+@pytest.mark.parametrize(
+    "stray",
+    [PhysicalLink(-1, 1, 1.0), PhysicalLink(0, 2, 1.0), PhysicalLink(0, 1, 1.0)],
+    ids=["negative_node", "no_fiber", "equal_copy"],
+)
+def test_entangled_graph_rejects_links_that_are_not_fibers(stray):
+    nodes = (QuantumNode(0, 1), QuantumNode(1, 1), QuantumNode(2, 1))
     net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
-    with pytest.raises(InvalidParameterError, match="unknown node"):
-        EntangledGraph([EntangledLink(0, -1, 1, 1.0)], net)
-    with pytest.raises(InvalidParameterError, match="unknown node"):
-        EntangledGraph([EntangledLink(0, 0, 2, 1.0)], net)
+    with pytest.raises(InvalidParameterError, match="not a link of the physical"):
+        EntangledGraph([net.links[0], stray], net)
 
 
 def test_demand_rejects_equal_endpoints():
@@ -94,17 +100,10 @@ def test_serialization_schema():
         '{"nodes":[{"id":0,"capacity":3},{"id":1,"capacity":2}],'
         '"links":[{"u":0,"v":1,"distance_km":7.44}]}'
     )
-    g = EntangledGraph([EntangledLink(0, 0, 1, 7.44)], net)
+    g = EntangledGraph([net.links[0]], net)
     data = json.loads(g.to_json())
     assert list(data.keys()) == ["nodes", "links", "entangled"]
     assert data["entangled"] == [{"id": 0, "u": 0, "v": 1}]
-
-
-def test_entangled_ids_ascending_required():
-    nodes = (QuantumNode(0, 2), QuantumNode(1, 2))
-    net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
-    with pytest.raises(InvalidParameterError):
-        EntangledGraph([EntangledLink(1, 0, 1, 1.0)], net)
 
 
 def test_copy_isolates_allocation_flags():
@@ -164,5 +163,6 @@ class TestSerializerOracle:
     def test_hand_built_distances(self, distance):
         nodes = (QuantumNode(0, 3), QuantumNode(1, 2), QuantumNode(2, 1))
         plinks = (PhysicalLink(0, 1, distance), PhysicalLink(1, 2, 2.5))
-        elinks = [EntangledLink(0, 1, 0, distance), EntangledLink(1, 0, 1, distance)]
-        self.assert_matches(EntangledGraph(elinks, PhysicalNetwork(nodes, plinks)))
+        self.assert_matches(
+            EntangledGraph([plinks[0], plinks[0]], PhysicalNetwork(nodes, plinks))
+        )

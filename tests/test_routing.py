@@ -146,7 +146,6 @@ class TestAllocatePath:
             allocate_path(schedule, g, Path(5, (0, 1), (0,)))
         assert g.allocated == [False]
         assert schedule.total_paths == 0
-        assert schedule.allocation_sequence == []
 
 
 def _random_multigraph(rng: RngStream, max_nodes=6, max_edges=12):
@@ -201,7 +200,7 @@ def _endpoint_pairs(g: EntangledGraph, rng: RngStream, count: int):
     for _ in range(count):
         src = rng.randrange(n)
         pairs.append((src, (src + 1 + rng.randrange(n - 1)) % n))
-    free = [l for l in g.links if not g.allocated[l.id]]
+    free = [l for l, taken in zip(g.links, g.allocated) if not taken]
     for index in rng.sample(len(free), min(count // 4, len(free))):
         pairs += [(free[index].u, free[index].v), (free[index].v, free[index].u)]
     return pairs
@@ -255,8 +254,8 @@ def _networkx_max_flow(g: EntangledGraph, src: int, dst: int) -> int:
     """Max flow with one unit of capacity per free link in each direction."""
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(g.node_count))
-    for link in g.links:
-        if g.allocated[link.id]:
+    for link, taken in zip(g.links, g.allocated):
+        if taken:
             continue
         for a, b in ((link.u, link.v), (link.v, link.u)):
             if digraph.has_edge(a, b):
@@ -304,9 +303,9 @@ def _free_multigraph(g: EntangledGraph) -> nx.MultiGraph:
     """The unallocated links as a networkx multigraph keyed by link id."""
     multi = nx.MultiGraph()
     multi.add_nodes_from(range(g.node_count))
-    for link in g.links:
-        if not g.allocated[link.id]:
-            multi.add_edge(link.u, link.v, key=link.id, weight=link.physical_distance_km)
+    for lid, link in enumerate(g.links):
+        if not g.allocated[lid]:
+            multi.add_edge(link.u, link.v, key=lid, weight=link.distance_km)
     return multi
 
 
@@ -433,7 +432,7 @@ def test_path_lengths_match_networkx(node_count):
                 assert p is None and q is None, (case, src, dst)
                 continue
             assert p.hop_count == nx.shortest_path_length(multi, src, dst), (case, src, dst)
-            length = sum(g.links[lid].physical_distance_km for lid in q.edges)
+            length = sum(g.links[lid].distance_km for lid in q.edges)
             assert math.isclose(
                 length, nx.dijkstra_path_length(multi, src, dst), rel_tol=1e-12
             ), (case, src, dst)

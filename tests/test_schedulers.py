@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroute import routing
 from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_topology
-from entroute.network import Demand
+from entroute.network import Demand, PhysicalLink, PhysicalNetwork
 from entroute.routing import (
     dmpsa_schedule,
     mcsa_schedule,
@@ -44,12 +47,20 @@ class TestSmpsa:
         smpsa_schedule(four_cycle, (Demand(0, 0, 1),))
         assert not any(four_cycle.allocated)
 
-    def test_round_robin_fairness(self):
+    def test_round_robin_fairness(self, monkeypatch):
         net = generate_topology(40, 7.44, 6, RngStream(21))
         g = generate_entanglement(net, 0.02, RngStream(22))
         demands = tuple(Demand(i, 2 * i, 2 * i + 1) for i in range(4))
-        schedule = smpsa_schedule(g, demands)
-        seq = schedule.allocation_sequence
+        seq = []
+        allocate = routing.allocate_path
+
+        def recording(schedule, work, p):
+            allocate(schedule, work, p)
+            seq.append(p.demand_id)
+
+        monkeypatch.setattr(routing, "allocate_path", recording)
+        smpsa_schedule(g, demands)
+        assert seq
         # Demands appearing at or after position i were still queued when the
         # i-th path was allocated; round-robin keeps their counts within 1.
         for i in range(len(seq)):
@@ -190,15 +201,16 @@ class TestDmpsa:
             [(0, 2), (1, 2), (0, 1)], [1.0, 1.0, 5.0], 0, 1
         )
         assert sum(
-            g.links[e].physical_distance_km for e in schedule.paths[0][0].edges
+            g.links[e].distance_km for e in schedule.paths[0][0].edges
         ) == pytest.approx(oracle)
 
     def test_uniform_distances_match_hop_count(self):
         net = generate_topology(30, 7.44, 6, RngStream(41))
-        # Uniform distances: rebuild links at a fixed length.
+        # Uniform distances: rebuild the fibers at a fixed length.
+        net = PhysicalNetwork(
+            net.nodes, tuple(PhysicalLink(l.u, l.v, 2.0) for l in net.links)
+        )
         g = generate_entanglement(net, 0.0, RngStream(42))
-        for link in g.links:
-            link.physical_distance_km = 2.0
         demands = (Demand(0, 0, 29),)
         d_schedule = dmpsa_schedule(g, demands)
         s_schedule = smpsa_schedule(g, demands)
@@ -244,7 +256,7 @@ class TestCrossAlgorithmProperties:
 
     def test_schedule_serialization_shape(self, four_cycle):
         schedule = smpsa_schedule(four_cycle, (Demand(0, 0, 1),))
-        data = schedule.to_json_dict()
+        data = json.loads(schedule.to_json())
         assert set(data) == {"k", "demands"}
         assert data["demands"][0]["id"] == 0
         first = data["demands"][0]["paths"][0]
