@@ -49,10 +49,11 @@ PAIR_BLOCK = 1 << 16
 
 def entanglement_probability(distance_km: float, alpha: float) -> float:
     """Per-attempt success probability exp(-alpha * distance)."""
-    if distance_km < 0:
-        raise InvalidParameterError(f"distance must be >= 0, got {distance_km}")
-    if alpha < 0:
-        raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
+    # Chained comparisons are false for NaN, so these also reject it.
+    if not 0 <= distance_km < math.inf:
+        raise InvalidParameterError(f"distance must be in [0, inf), got {distance_km}")
+    if not 0 <= alpha < math.inf:
+        raise InvalidParameterError(f"alpha must be in [0, inf), got {alpha}")
     return math.exp(-alpha * distance_km)
 
 
@@ -141,6 +142,8 @@ def generate_grid(
     rows: int, cols: int, distance_km: float, capacity: int
 ) -> PhysicalNetwork:
     """rows x cols grid with uniform link distance and node capacity."""
+    require_integer("rows", rows)
+    require_integer("cols", cols)
     if rows < 2 or cols < 2:
         raise InvalidParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
     if capacity < 1:

@@ -379,6 +379,10 @@ def run_grid_check(rows: int, cols: int, demand_count: int, seed: int) -> GridCh
     with the min-cut-prioritized scheduler capped at one path per demand.
     The report says whether every demand received a path.
     """
+    require_integer("rows", rows)
+    require_integer("cols", cols)
+    require_integer("demand_count", demand_count)
+    require_integer("seed", seed)
     if demand_count < 1:
         raise InvalidParameterError("demand_count must be >= 1")
     if rows < demand_count + 2:

@@ -8,10 +8,10 @@ is generated over one fiber, so the multigraph stores it as that fiber's own
 ``PhysicalLink``: entangled link ``i`` is ``links[i]``, with the fiber's
 endpoints and distance.
 
-All types are treated as immutable after construction, with one exception:
-``EntangledGraph.allocated``, one flag per link id, flips when a routing
-path claims the link. ``EntangledGraph.copy`` gives each scheduler run its
-own flags over the shared links and adjacency.
+Nodes, links and demands are frozen, and graphs hold them and the entangled
+adjacency in tuples. The one mutable field, ``EntangledGraph.allocated``,
+holds one flag per link id that flips when a routing path claims the link;
+``EntangledGraph.copy`` gives each scheduler run its own flags.
 """
 
 from __future__ import annotations
@@ -121,14 +121,14 @@ class EntangledGraph:
     ``links`` holds one entry per Bell pair: the ``PhysicalLink`` object of
     ``physical`` it was generated over, repeated once per pair. A link's id
     is its index into ``links`` and ``allocated``, whose flag is set once a
-    routing path claims the link. Adjacency is sorted by (neighbor, link id)
-    so traversals are deterministic.
+    routing path claims the link. ``adjacency[x]`` holds node x's sorted
+    ``(neighbor, link id)`` entries, allocated links included.
     """
 
     links: tuple[PhysicalLink, ...]
     physical: PhysicalNetwork
     allocated: list[bool] = field(init=False, repr=False)
-    _adjacency: list[list[tuple[int, int]]] = field(init=False, repr=False)
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.links = tuple(self.links)
@@ -147,28 +147,11 @@ class EntangledGraph:
                 )
             adjacency[link.u].append((link.v, index))
             adjacency[link.v].append((link.u, index))
-        for entries in adjacency:
-            entries.sort()
-        self._adjacency = adjacency
-
-    @property
-    def nodes(self) -> tuple[QuantumNode, ...]:
-        return self.physical.nodes
+        self.adjacency = tuple([tuple(sorted(entries)) for entries in adjacency])
 
     @property
     def node_count(self) -> int:
         return len(self.physical.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.links)
-
-    def incident(self, node_id: int) -> list[tuple[int, int]]:
-        """(neighbor, link id) pairs, including allocated links."""
-        return self._adjacency[node_id]
-
-    def entangled_degree(self, node_id: int) -> int:
-        return len(self._adjacency[node_id])
 
     def capacity_of(self, node_id: int) -> int:
         return self.physical.capacity_of(node_id)
@@ -179,7 +162,7 @@ class EntangledGraph:
         clone.links = self.links
         clone.physical = self.physical
         clone.allocated = self.allocated.copy()
-        clone._adjacency = self._adjacency
+        clone.adjacency = self.adjacency
         return clone
 
     def to_json(self) -> str:
@@ -199,6 +182,11 @@ class Demand:
     dst: int
 
     def __post_init__(self):
+        # The exact type test spares sampled demands the slower full check.
+        if not (type(self.id) is int and type(self.src) is int and type(self.dst) is int):
+            require_integer("demand id", self.id)
+            require_integer(f"demand {self.id}: src", self.src)
+            require_integer(f"demand {self.id}: dst", self.dst)
         if self.src == self.dst:
             raise InvalidParameterError(
                 f"demand {self.id}: src and dst must differ, got {self.src}"

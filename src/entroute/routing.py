@@ -1,9 +1,9 @@
 """Path search, s-t min-cut, and the four demand-scheduling algorithms.
 
-All searches operate on the unallocated portion of an entangled multigraph,
-reading ``g.allocated[lid]``. Scheduling never mutates the caller's graph:
-each scheduler works on a ``copy()`` that has its own allocation flags and
-records its paths in the returned schedule.
+Every search is a function of the graph alone: it reads ``g.adjacency``
+and skips allocated links, ``g.allocated[lid]``. Scheduling never mutates
+the caller's graph: each scheduler works on a ``copy()`` with its own
+allocation flags, and its schedule is the one place demand ids are kept.
 
 The path searches label only what their answer depends on. The minimum-hop
 search is a bidirectional BFS (Pohl, "Bi-directional search", 1971) that
@@ -24,18 +24,17 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvariantViolationError
+from .errors import InvalidParameterError, InvariantViolationError, require_integer
 from .network import Demand, EntangledGraph
 from .rng import RngStream
 
 
 @dataclass(frozen=True, slots=True)
 class Path:
-    """A simple path of entangled links allocated to one demand."""
+    """A simple path of entangled links."""
 
-    demand_id: int
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 
@@ -56,26 +55,20 @@ class Path:
 class CutResult:
     """A minimum s-t disconnecting set over unallocated entangled links."""
 
-    demand_id: int
     cut_edge_ids: frozenset[int]
     flexibility: int
 
 
 @dataclass(slots=True)
 class RoutingSchedule:
-    """Edge-disjoint path sets per demand and the traffic floor k they give."""
+    """Edge-disjoint paths per demand id, in demand order, and their floor k."""
 
-    demand_ids: tuple[int, ...]
-    paths: dict[int, list[Path]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for did in self.demand_ids:
-            self.paths.setdefault(did, [])
+    paths: dict[int, list[Path]]
 
     @property
     def k(self) -> int:
         """Traffic flexibility: the fewest paths that any demand holds."""
-        return min(len(self.paths[d]) for d in self.demand_ids)
+        return min(len(ps) for ps in self.paths.values())
 
     @property
     def total_paths(self) -> int:
@@ -94,10 +87,10 @@ class RoutingSchedule:
                         "id": did,
                         "paths": [
                             {"nodes": list(p.nodes), "edges": list(p.edges)}
-                            for p in self.paths[did]
+                            for p in ps
                         ],
                     }
-                    for did in self.demand_ids
+                    for did, ps in self.paths.items()
                 ],
             },
             separators=(",", ":"),
@@ -112,9 +105,7 @@ def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> None:
         raise InvalidParameterError(f"endpoint outside graph: src={src} dst={dst}")
 
 
-def shortest_entangled_path(
-    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
-) -> Path | None:
+def shortest_entangled_path(g: EntangledGraph, src: int, dst: int) -> Path | None:
     """Minimum-hop simple path over unallocated links, or None if disconnected.
 
     Among all minimum-hop paths the lexicographically smallest node sequence
@@ -131,7 +122,7 @@ def shortest_entangled_path(
     """
     _check_endpoints(g, src, dst)
     allocated = g.allocated
-    incident = g.incident
+    adjacency = g.adjacency
 
     # Hop distances from src and to dst over unallocated links.
     fdist = {src: 0}
@@ -147,7 +138,7 @@ def shortest_entangled_path(
         grown = []
         meet = []
         for here in front:
-            for y, lid in incident(here):
+            for y, lid in adjacency[here]:
                 if y not in tree and not allocated[lid]:
                     tree[y] = depth
                     grown.append(y)
@@ -167,7 +158,7 @@ def shortest_entangled_path(
     for depth in range(fdist[meet[0]] - 1, 0, -1):
         below = set()
         for x in levels[-1]:
-            for y, lid in incident(x):
+            for y, lid in adjacency[x]:
                 if fdist.get(y) == depth and not allocated[lid]:
                     below.add(y)
         levels.append(below)
@@ -178,7 +169,7 @@ def shortest_entangled_path(
     edges = []
     here = src
     for level in reversed(levels):
-        for y, lid in incident(here):
+        for y, lid in adjacency[here]:
             if y in level and not allocated[lid]:
                 break
         else:  # unreachable given the marking above
@@ -187,7 +178,7 @@ def shortest_entangled_path(
         edges.append(lid)
         here = y
     for want in range(bdist[here] - 1, -1, -1):
-        for y, lid in incident(here):
+        for y, lid in adjacency[here]:
             if bdist.get(y) == want and not allocated[lid]:
                 break
         else:  # unreachable given the backward BFS
@@ -195,7 +186,7 @@ def shortest_entangled_path(
         nodes.append(y)
         edges.append(lid)
         here = y
-    return Path(demand_id, tuple(nodes), tuple(edges))
+    return Path(tuple(nodes), tuple(edges))
 
 
 def _grow_layer(
@@ -220,10 +211,10 @@ def _grow_layer(
     tree; otherwise returns the next frontier and None.
     """
     allocated = g.allocated
-    incident = g.incident
+    adjacency = g.adjacency
     grown = []
     for here in front:
-        for y, lid in incident(here):
+        for y, lid in adjacency[here]:
             if y in tree or allocated[lid]:
                 continue
             f = flow[lid] * sign
@@ -236,9 +227,7 @@ def _grow_layer(
     return grown, None
 
 
-def st_min_cut(
-    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
-) -> CutResult:
+def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
     """Exact minimum s-t cut of the unallocated multigraph.
 
     A maximum flow on unit capacities, grown one augmenting path at a time;
@@ -252,6 +241,7 @@ def st_min_cut(
     """
     _check_endpoints(g, src, dst)
     allocated = g.allocated
+    adjacency = g.adjacency
     # Net flow per link, oriented from link.u to link.v.
     flow = [0] * len(allocated)
     value = 0
@@ -288,25 +278,28 @@ def st_min_cut(
     cut = frozenset(
         lid
         for x in fwd
-        for y, lid in g.incident(x)
+        for y, lid in adjacency[x]
         if y not in fwd and not allocated[lid]
     )
     if len(cut) != value:
         raise InvariantViolationError(
             f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
         )
-    return CutResult(demand_id, cut, value)
+    return CutResult(cut, value)
 
 
 def path_flexibility(g: EntangledGraph, d: Demand) -> int:
     """Size of the minimum cut separating the demand's endpoints."""
-    return st_min_cut(g, d.src, d.dst, d.id).flexibility
+    return st_min_cut(g, d.src, d.dst).flexibility
 
 
-def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None:
-    """Claim a path's links and append it to its demand's path set."""
-    if p.demand_id not in schedule.paths:
-        raise InvalidParameterError(f"path for unknown demand {p.demand_id}")
+def allocate_path(
+    schedule: RoutingSchedule, g: EntangledGraph, demand_id: int, p: Path
+) -> None:
+    """Claim a path's links and append it to the demand's path set."""
+    paths = schedule.paths.get(demand_id)
+    if paths is None:
+        raise InvalidParameterError(f"path for unknown demand {demand_id}")
     allocated = g.allocated
     for lid in p.edges:
         if allocated[lid]:
@@ -315,7 +308,7 @@ def allocate_path(schedule: RoutingSchedule, g: EntangledGraph, p: Path) -> None
             )
     for lid in p.edges:
         allocated[lid] = True
-    schedule.paths[p.demand_id].append(p)
+    paths.append(p)
 
 
 def _validate_demands(g: EntangledGraph, demands) -> tuple[Demand, ...]:
@@ -340,13 +333,13 @@ def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
     """
     demands = _validate_demands(g, demands)
     work = g.copy()
-    schedule = RoutingSchedule(tuple(d.id for d in demands))
+    schedule = RoutingSchedule({d.id: [] for d in demands})
     queue = deque(demands)
     while queue:
         d = queue.popleft()
         p = find_path(work, d)
         if p is not None:
-            allocate_path(schedule, work, p)
+            allocate_path(schedule, work, d.id, p)
             queue.append(d)
     return schedule
 
@@ -354,7 +347,7 @@ def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
 def smpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
     """Sequential scheduler: FCFS round-robin over minimum-hop paths."""
     return _fcfs_schedule(
-        g, demands, lambda work, d: shortest_entangled_path(work, d.src, d.dst, d.id)
+        g, demands, lambda work, d: shortest_entangled_path(work, d.src, d.dst)
     )
 
 
@@ -366,7 +359,7 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
         sub = demand_rngs.get(d.id)
         if sub is None:
             sub = demand_rngs[d.id] = rng.substream(d.id)
-        return _random_simple_path(work, d.src, d.dst, sub, d.id)
+        return _random_simple_path(work, d.src, d.dst, sub)
 
     return _fcfs_schedule(g, demands, find_random)
 
@@ -374,7 +367,7 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
 def dmpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
     """FCFS round-robin baseline minimizing total physical distance."""
     return _fcfs_schedule(
-        g, demands, lambda work, d: _min_distance_path(work, d.src, d.dst, d.id)
+        g, demands, lambda work, d: _min_distance_path(work, d.src, d.dst)
     )
 
 
@@ -391,12 +384,18 @@ def mcsa_schedule(
     demands from going to paths that cannot raise k; the paper text held
     here does not fix the per-round budget, and one path is the choice made.
 
-    ``per_demand_cap`` overrides the capacity-derived budget; the grid
-    feasibility check uses it to probe 1-path-per-demand schedules.
+    ``per_demand_cap``, an integer >= 1, overrides the capacity-derived
+    budget; the grid check uses it to probe 1-path-per-demand schedules.
     """
+    if per_demand_cap is not None:
+        require_integer("per_demand_cap", per_demand_cap)
+        if per_demand_cap < 1:
+            raise InvalidParameterError(
+                f"per_demand_cap must be >= 1, got {per_demand_cap}"
+            )
     demands = _validate_demands(g, demands)
     work = g.copy()
-    schedule = RoutingSchedule(tuple(d.id for d in demands))
+    schedule = RoutingSchedule({d.id: [] for d in demands})
     budgets = {
         d.id: per_demand_cap
         if per_demand_cap is not None
@@ -409,10 +408,10 @@ def mcsa_schedule(
             active.sort(key=lambda d: (path_flexibility(work, d), d.id))
         served = []
         for d in active:
-            p = shortest_entangled_path(work, d.src, d.dst, d.id)
+            p = shortest_entangled_path(work, d.src, d.dst)
             if p is None:
                 continue
-            allocate_path(schedule, work, p)
+            allocate_path(schedule, work, d.id, p)
             budgets[d.id] -= 1
             if budgets[d.id] > 0:
                 served.append(d)
@@ -421,7 +420,7 @@ def mcsa_schedule(
 
 
 def _random_simple_path(
-    g: EntangledGraph, src: int, dst: int, rng: RngStream, demand_id: int
+    g: EntangledGraph, src: int, dst: int, rng: RngStream
 ) -> Path | None:
     """Depth-first search with per-node shuffled neighbor order.
 
@@ -430,6 +429,7 @@ def _random_simple_path(
     """
     _check_endpoints(g, src, dst)
     allocated = g.allocated
+    adjacency = g.adjacency
     parents: dict[int, tuple[int, int] | None] = {src: None}
     stack = [src]
     while stack:
@@ -438,7 +438,7 @@ def _random_simple_path(
             break
         candidates = [
             (y, lid)
-            for y, lid in g.incident(x)
+            for y, lid in adjacency[x]
             if y not in parents and not allocated[lid]
         ]
         rng.shuffle(candidates)
@@ -456,12 +456,10 @@ def _random_simple_path(
         edges.append(lid)
         nodes.append(x)
         node = x
-    return Path(demand_id, tuple(reversed(nodes)), tuple(reversed(edges)))
+    return Path(tuple(reversed(nodes)), tuple(reversed(edges)))
 
 
-def _min_distance_path(
-    g: EntangledGraph, src: int, dst: int, demand_id: int
-) -> Path | None:
+def _min_distance_path(g: EntangledGraph, src: int, dst: int) -> Path | None:
     """Minimum total physical distance path over unallocated links.
 
     Dijkstra labels distances to dst only as far as the descent from src
@@ -475,7 +473,7 @@ def _min_distance_path(
     _check_endpoints(g, src, dst)
     links = g.links
     allocated = g.allocated
-    incident = g.incident
+    adjacency = g.adjacency
 
     # Dijkstra labels toward dst; weights are positive and finite.
     dist: dict[int, float] = {}
@@ -487,7 +485,7 @@ def _min_distance_path(
             if x in dist:
                 continue
             dist[x] = d_x
-            for y, lid in incident(x):
+            for y, lid in adjacency[x]:
                 if y not in dist and not allocated[lid]:
                     heapq.heappush(heap, (d_x + links[lid].distance_km, y))
             if x == stop:
@@ -505,7 +503,7 @@ def _min_distance_path(
         while True:
             # Scanning in (y, link id) order keeps the first of equal keys.
             best, step = math.inf, None
-            for y, lid in incident(here):
+            for y, lid in adjacency[here]:
                 if allocated[lid] or y in seen:
                     continue
                 d_y = dist.get(y)
@@ -524,4 +522,4 @@ def _min_distance_path(
         edges.append(lid)
         seen.add(y)
         here = y
-    return Path(demand_id, tuple(nodes), tuple(edges))
+    return Path(tuple(nodes), tuple(edges))

@@ -107,7 +107,7 @@ def validate_schedule(schedule, graph, demands) -> None:
     """Assert edge-disjointness and per-path structural validity."""
     used: set[int] = set()
     by_id = {d.id: d for d in demands}
-    assert set(schedule.paths) == set(by_id), "schedule demand ids mismatch"
+    assert list(schedule.paths) == list(by_id), "schedule demand ids or order mismatch"
     for did, paths in schedule.paths.items():
         d = by_id[did]
         for p in paths:
@@ -204,7 +204,7 @@ def generate_topology_scalar(
 
 
 def st_min_cut_reference(
-    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
+    g: EntangledGraph, src: int, dst: int
 ) -> CutResult:
     """One-directional reference for ``entroute.routing.st_min_cut``.
 
@@ -229,7 +229,7 @@ def st_min_cut_reference(
         found = False
         while queue and not found:
             x = queue.popleft()
-            for y, lid in g.incident(x):
+            for y, lid in g.adjacency[x]:
                 if y in parents or not usable[lid] or not residual_ok(x, lid):
                     continue
                 parents[y] = (x, lid)
@@ -250,7 +250,7 @@ def st_min_cut_reference(
     queue = deque([src])
     while queue:
         x = queue.popleft()
-        for y, lid in g.incident(x):
+        for y, lid in g.adjacency[x]:
             if y not in reachable and usable[lid] and residual_ok(x, lid):
                 reachable.add(y)
                 queue.append(y)
@@ -263,11 +263,11 @@ def st_min_cut_reference(
         raise InvariantViolationError(
             f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
         )
-    return CutResult(demand_id, cut, value)
+    return CutResult(cut, value)
 
 
 def shortest_entangled_path_reference(
-    g: EntangledGraph, src: int, dst: int, demand_id: int = -1
+    g: EntangledGraph, src: int, dst: int
 ) -> Path | None:
     """One-directional reference for ``entroute.routing.shortest_entangled_path``.
 
@@ -286,7 +286,7 @@ def shortest_entangled_path_reference(
         if x == src:
             break
         d_next = dist[x] + 1
-        for y, lid in g.incident(x):
+        for y, lid in g.adjacency[x]:
             if y not in dist and not allocated[lid]:
                 dist[y] = d_next
                 queue.append(y)
@@ -301,7 +301,7 @@ def shortest_entangled_path_reference(
     while here != dst:
         step = None
         want = dist[here] - 1
-        for y, lid in g.incident(here):
+        for y, lid in g.adjacency[here]:
             if allocated[lid] or dist.get(y) != want:
                 continue
             if step is None or (y, lid) < step:
@@ -311,11 +311,11 @@ def shortest_entangled_path_reference(
         nodes.append(step[0])
         edges.append(step[1])
         here = step[0]
-    return Path(demand_id, tuple(nodes), tuple(edges))
+    return Path(tuple(nodes), tuple(edges))
 
 
 def min_distance_path_reference(
-    g: EntangledGraph, src: int, dst: int, demand_id: int
+    g: EntangledGraph, src: int, dst: int
 ) -> Path | None:
     """Full-Dijkstra reference for ``entroute.routing._min_distance_path``.
 
@@ -334,7 +334,7 @@ def min_distance_path_reference(
         if x in dist:
             continue
         dist[x] = d_x
-        for y, lid in g.incident(x):
+        for y, lid in g.adjacency[x]:
             if y not in dist and not allocated[lid]:
                 heapq.heappush(heap, (d_x + links[lid].distance_km, y))
     if src not in dist:
@@ -346,7 +346,7 @@ def min_distance_path_reference(
     seen = {src}
     while here != dst:
         step = None
-        for y, lid in g.incident(here):
+        for y, lid in g.adjacency[here]:
             if allocated[lid] or y not in dist or y in seen:
                 continue
             key = (links[lid].distance_km + dist[y], y, lid)
@@ -359,4 +359,4 @@ def min_distance_path_reference(
         edges.append(lid)
         seen.add(y)
         here = y
-    return Path(demand_id, tuple(nodes), tuple(edges))
+    return Path(tuple(nodes), tuple(edges))

@@ -46,6 +46,14 @@ class TestEntanglementProbability:
         with pytest.raises(InvalidParameterError):
             entanglement_probability(1.0, -0.05)
 
+    @pytest.mark.parametrize(
+        "distance, alpha",
+        [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0), (1.0, math.inf)],
+    )
+    def test_non_finite_inputs_rejected(self, distance, alpha):
+        with pytest.raises(InvalidParameterError, match=r"must be in \[0, inf\)"):
+            entanglement_probability(distance, alpha)
+
 
 class TestGenerateTopology:
     def test_two_nodes_forces_single_link(self):
@@ -180,6 +188,11 @@ class TestGenerateGrid:
         with pytest.raises(InvalidParameterError):
             generate_grid(5, 1, 1.0, 4)
 
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 2.5), (3.0, 3), (True, 3)])
+    def test_rejects_non_integer_shape(self, rows, cols):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            generate_grid(rows, cols, 1.0, 1)
+
     @pytest.mark.parametrize("distance", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_finite_or_non_positive_distance(self, distance):
         with pytest.raises(InvalidParameterError, match="positive and finite"):
@@ -204,7 +217,7 @@ class TestGenerateEntanglement:
     def test_huge_alpha_yields_no_edges(self):
         net = generate_topology(20, 7.44, 3, RngStream(5))
         g = generate_entanglement(net, 1e9, RngStream(6))
-        assert g.edge_count == 0
+        assert len(g.links) == 0
 
     def test_certain_success_follows_slot_assignment(self):
         # alpha = 0 gives success probability exactly 1 on every attempt.
@@ -217,14 +230,14 @@ class TestGenerateEntanglement:
     def test_spare_capacity_creates_parallel_links(self):
         net = _line_network([4, 4])
         g = generate_entanglement(net, 0.0, RngStream(0))
-        assert g.edge_count == 4  # both nodes commit all four slots to one link
+        assert len(g.links) == 4  # both nodes commit all four slots to one link
 
     def test_capacity_respected(self):
         for seed in range(10):
             net = generate_topology(30, 7.44, 4, RngStream(seed))
             g = generate_entanglement(net, 0.0, RngStream(seed + 100))
-            for node in g.nodes:
-                assert g.entangled_degree(node.id) <= node.capacity
+            for node in net.nodes:
+                assert len(g.adjacency[node.id]) <= node.capacity
 
     def test_locality(self):
         net = generate_topology(25, 7.44, 5, RngStream(8))
@@ -235,7 +248,7 @@ class TestGenerateEntanglement:
     def test_monotone_in_alpha_for_fixed_seed(self):
         net = generate_topology(30, 7.44, 5, RngStream(11))
         counts = [
-            generate_entanglement(net, alpha, RngStream(99)).edge_count
+            len(generate_entanglement(net, alpha, RngStream(99)).links)
             for alpha in (0.3, 0.1, 0.05, 0.0)
         ]
         assert counts == sorted(counts)
@@ -250,7 +263,7 @@ class TestGenerateEntanglement:
         net = generate_topology(30, 7.44, 5, RngStream(11))
         g = generate_entanglement(net, 0.05, RngStream(99))
         index = {id(link): i for i, link in enumerate(net.links)}
-        assert g.edge_count > 0
+        assert len(g.links) > 0
         assert all(id(link) in index for link in g.links)
         order = [index[id(link)] for link in g.links]
         assert order == sorted(order)
@@ -264,6 +277,6 @@ class TestGenerateEntanglement:
         net = generate_topology(node_count, 7.44, 3, RngStream(seed))
         g = generate_entanglement(net, 0.02, RngStream(seed ^ 0xABCDEF))
         physical_pairs = {(l.u, l.v) for l in net.links}
-        for node in g.nodes:
-            assert g.entangled_degree(node.id) <= node.capacity
+        for node in net.nodes:
+            assert len(g.adjacency[node.id]) <= node.capacity
         assert all((l.u, l.v) in physical_pairs for l in g.links)

@@ -325,6 +325,20 @@ class TestFairComparison:
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.links[0].u = 1
 
+    def test_shared_adjacency_cannot_be_changed(self):
+        # Every copy shares one adjacency of tuples, so no run can reorder or
+        # extend it under the next.
+        g = build_graph(3, [(0, 2), (0, 1), (0, 1)])
+        assert g.copy().adjacency is g.adjacency
+        with pytest.raises(AttributeError):
+            g.adjacency[0].sort(reverse=True)
+        with pytest.raises(AttributeError):
+            g.adjacency[0].append((2, 0))
+        with pytest.raises(TypeError):
+            g.adjacency[0][0] = (2, 0)
+        with pytest.raises(TypeError):
+            g.adjacency[0] = ()
+
     @pytest.mark.parametrize(
         "algorithms",
         [("smpsa",), ("rmpsa",), ("smpsa", "mcsa"), ("mcsa", "rmpsa", "dmpsa"), ALL],
@@ -386,6 +400,13 @@ class TestGridCheck:
     def test_column_precondition(self):
         with pytest.raises(InvalidParameterError):
             run_grid_check(9, 2, 3, 0)
+
+    @pytest.mark.parametrize(
+        "args", [(7, 5, 2, 2.5), (7, 5, 2.5, 42), (7.0, 5, 2, 2), (7, 5.0, 2, 2)]
+    )
+    def test_arguments_must_be_integers(self, args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            run_grid_check(*args)
 
 
 class TestRunFidelity:

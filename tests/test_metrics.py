@@ -17,11 +17,12 @@ from entroute.rng import RngStream
 
 def _schedule_with(path_specs):
     """RoutingSchedule stub: {demand_id: [(nodes, edges), ...]}."""
-    schedule = RoutingSchedule(tuple(path_specs))
-    for did, paths in path_specs.items():
-        for nodes, edges in paths:
-            schedule.paths[did].append(Path(did, nodes, edges))
-    return schedule
+    return RoutingSchedule(
+        {
+            did: [Path(nodes, edges) for nodes, edges in paths]
+            for did, paths in path_specs.items()
+        }
+    )
 
 
 class TestComputeK:
@@ -79,12 +80,10 @@ class TestDepletionRatio:
         # chain of single demands and compare against 2|L_e| / C_N.
         net = generate_topology(12, 7.44, 2, RngStream(13))
         g = generate_entanglement(net, 0.0, RngStream(14))
-        schedule = RoutingSchedule((0,))
-        for lid, link in enumerate(g.links):
-            schedule.paths.setdefault(0, []).append(
-                Path(0, (link.u, link.v), (lid,))
-            )
-        expected = Fraction(2 * g.edge_count, net.total_capacity())
+        schedule = RoutingSchedule(
+            {0: [Path((link.u, link.v), (lid,)) for lid, link in enumerate(g.links)]}
+        )
+        expected = Fraction(2 * len(g.links), net.total_capacity())
         assert qubit_depletion_ratio(schedule, net) == pytest.approx(float(expected))
         assert qubit_depletion_ratio(schedule, net) <= 1.0
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,9 +55,9 @@ class TestSmpsa:
         seq = []
         allocate = routing.allocate_path
 
-        def recording(schedule, work, p):
-            allocate(schedule, work, p)
-            seq.append(p.demand_id)
+        def recording(schedule, work, demand_id, p):
+            allocate(schedule, work, demand_id, p)
+            seq.append(demand_id)
 
         monkeypatch.setattr(routing, "allocate_path", recording)
         smpsa_schedule(g, demands)
@@ -125,6 +126,16 @@ class TestMcsa:
     def test_per_demand_cap_override(self, four_cycle):
         schedule = mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=1)
         assert schedule.total_paths == 1
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, True, math.nan])
+    def test_per_demand_cap_must_be_an_integer(self, four_cycle, cap):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_per_demand_cap_must_be_positive(self, four_cycle, cap):
+        with pytest.raises(InvalidParameterError, match="per_demand_cap must be >= 1"):
+            mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=cap)
 
     def test_single_demand_gets_flexibility_many_paths(self):
         for seed in range(5):
