@@ -76,15 +76,16 @@ def bell_state() -> DensityMatrix:
 
 
 def _check_qubit(qubit: int) -> None:
-    if qubit not in (0, 1):
+    if type(qubit) is bool or qubit not in (0, 1):
         raise InvalidParameterError(f"qubit must be 0 or 1, got {qubit}")
 
 
 def _check_rate_time(rate_hz: float, time_s: float) -> None:
-    if rate_hz < 0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate_hz}")
-    if time_s < 0:
-        raise InvalidParameterError(f"time must be >= 0, got {time_s}")
+    # Chained comparisons are false for NaN, so these also reject it.
+    if not 0 <= rate_hz < math.inf:
+        raise InvalidParameterError(f"rate must be in [0, inf), got {rate_hz}")
+    if not 0 <= time_s < math.inf:
+        raise InvalidParameterError(f"time must be in [0, inf), got {time_s}")
 
 
 def apply_dephasing(
@@ -182,6 +183,7 @@ def fidelity_sweep(
     dephasing_rates_hz = sorted(dephasing_rates_hz)
     depolarization_rates_hz = sorted(depolarization_rates_hz)
     distances_km = sorted(distances_km)
+    require_finite("propagation speed", propagation_speed_km_per_s)
     if propagation_speed_km_per_s <= 0:
         raise InvalidParameterError("propagation speed must be positive")
     if not distances_km or not (dephasing_rates_hz or depolarization_rates_hz):

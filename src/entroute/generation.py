@@ -144,6 +144,10 @@ def generate_grid(
     """rows x cols grid with uniform link distance and node capacity."""
     require_integer("rows", rows)
     require_integer("cols", cols)
+    require_integer("capacity", capacity)
+    # Floats go straight to the range check, which also rejects NaN and inf.
+    if type(distance_km) is not float:
+        require_finite("distance_km", distance_km)
     if rows < 2 or cols < 2:
         raise InvalidParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
     if capacity < 1:

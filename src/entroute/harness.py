@@ -233,6 +233,8 @@ def run_single(
     sweep_value: float | None = None,
 ) -> list[ResultRow]:
     """One seeded instance: generate once, run every selected algorithm."""
+    require_integer("iteration_index", iteration_index)
+    require_integer("axis_index", axis_index)
     child = hash64(config.master_seed, iteration_index, axis_index)
     net = generate_topology(
         config.node_count,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from .errors import InvalidParameterError, require_integer
+from .errors import InvalidParameterError, require_finite, require_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +46,11 @@ class PhysicalLink:
     distance_km: float
 
     def __post_init__(self):
+        # The exact type test spares generated links the slower full check.
+        if not (type(self.u) is int and type(self.v) is int and type(self.distance_km) is float):
+            require_integer("link endpoint", self.u)
+            require_integer("link endpoint", self.v)
+            require_finite("link distance", self.distance_km)
         if self.u == self.v:
             raise InvalidParameterError(f"self-loop at node {self.u}")
         if not 0 < self.distance_km < inf:

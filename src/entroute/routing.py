@@ -53,9 +53,8 @@ class Path:
 
 @dataclass(slots=True)
 class CutResult:
-    """A minimum s-t disconnecting set over unallocated entangled links."""
+    """Size of a minimum s-t cut over unallocated entangled links."""
 
-    cut_edge_ids: frozenset[int]
     flexibility: int
 
 
@@ -98,6 +97,10 @@ class RoutingSchedule:
 
 
 def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> None:
+    # The exact type test spares well-typed callers the slower full check.
+    if not (type(src) is int and type(dst) is int):
+        require_integer("src", src)
+        require_integer("dst", dst)
     if src == dst:
         raise InvalidParameterError(f"src and dst must differ, got {src}")
     n = g.node_count
@@ -228,22 +231,19 @@ def _grow_layer(
 
 
 def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
-    """Exact minimum s-t cut of the unallocated multigraph.
+    """Size of the minimum s-t cut of the unallocated multigraph.
 
     A maximum flow on unit capacities, grown one augmenting path at a time;
     by Menger's theorem its value equals the cut size and the maximum number
     of edge-disjoint s-t paths. Each augmenting path comes from a
     bidirectional BFS over the residual graph that expands the smaller
-    frontier by one layer per step. The cut returned is the set of links
-    leaving the nodes reachable from src in the final residual graph. That
-    set is the same for every maximum flow, so the cut does not depend on
-    which augmenting paths were found.
+    frontier by one layer per step, and the first search that fails ends
+    the flow. Only the value is computed; which links form the cut is left
+    out, since no scheduler reads it.
     """
     _check_endpoints(g, src, dst)
-    allocated = g.allocated
-    adjacency = g.adjacency
     # Net flow per link, oriented from link.u to link.v.
-    flow = [0] * len(allocated)
+    flow = [0] * len(g.links)
     value = 0
     while True:
         fwd: dict[int, tuple[int, int] | None] = {src: None}
@@ -256,7 +256,7 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
             else:
                 bfront, meet = _grow_layer(g, flow, bfront, bwd, fwd, -1)
         if meet is None:
-            break
+            return CutResult(value)
         # Push one unit along src ~> x -> y ~> dst.
         x, y, lid = meet
         flow[lid] += 1 if x < y else -1
@@ -269,23 +269,6 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
             flow[nlid] += 1 if y < ny else -1
             y = ny
         value += 1
-
-    # No augmenting path is left. If the forward frontier ran dry, ``fwd``
-    # holds every node reachable from src; otherwise finish its BFS. It can
-    # no longer meet ``bwd``, which holds every node that reaches dst.
-    while ffront:
-        ffront, _ = _grow_layer(g, flow, ffront, fwd, bwd, 1)
-    cut = frozenset(
-        lid
-        for x in fwd
-        for y, lid in adjacency[x]
-        if y not in fwd and not allocated[lid]
-    )
-    if len(cut) != value:
-        raise InvariantViolationError(
-            f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
-        )
-    return CutResult(cut, value)
 
 
 def path_flexibility(g: EntangledGraph, d: Demand) -> int:

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
 from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
-from entroute.routing import CutResult, Path, _check_endpoints
+from entroute.routing import Path, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
@@ -205,12 +205,13 @@ def generate_topology_scalar(
 
 def st_min_cut_reference(
     g: EntangledGraph, src: int, dst: int
-) -> CutResult:
+) -> tuple[frozenset[int], int]:
     """One-directional reference for ``entroute.routing.st_min_cut``.
 
     Each augmenting path comes from a plain BFS out of src; a last BFS
     collects the nodes reachable from src in the residual graph, and the cut
-    is every unallocated link with exactly one endpoint among them.
+    is every unallocated link with exactly one endpoint among them. Returns
+    ``(cut link ids, flow value)``; ``st_min_cut`` returns only the value.
     """
     _check_endpoints(g, src, dst)
     links = g.links
@@ -263,7 +264,7 @@ def st_min_cut_reference(
         raise InvariantViolationError(
             f"max-flow/min-cut mismatch: flow {value}, cut size {len(cut)}"
         )
-    return CutResult(cut, value)
+    return cut, value
 
 
 def shortest_entangled_path_reference(

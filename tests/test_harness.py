@@ -154,6 +154,13 @@ class TestRunSingle:
         config = small_config()
         assert run_single(config, 0) != run_single(config, 1)
 
+    @pytest.mark.parametrize(
+        "indices", [(1.5,), (1.0,), (True,), ("1",), (0, "a"), (0, 1.0), (0, False)]
+    )
+    def test_indices_must_be_integers(self, indices):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            run_single(small_config(algorithms=("smpsa",)), *indices)
+
     def test_disconnected_demand_gives_zero_row(self):
         config = small_config(node_count=30, alpha_per_km=1e9, algorithms=("smpsa",))
         row = run_single(config, 0)[0]

@@ -53,6 +53,25 @@ def test_link_rejects_non_finite_or_non_positive_distance(distance):
         PhysicalLink(0, 1, distance)
 
 
+@pytest.mark.parametrize(
+    "u, v", [(0.5, 1), (0, 1.0), (True, 2), (0, "1"), (None, 1)]
+)
+def test_link_rejects_non_integer_endpoints(u, v):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        PhysicalLink(u, v, 1.0)
+
+
+@pytest.mark.parametrize("distance", ["1", None, True, np.float64(math.nan)])
+def test_link_rejects_non_numeric_distance(distance):
+    with pytest.raises(InvalidParameterError, match="link distance must be"):
+        PhysicalLink(0, 1, distance)
+
+
+def test_link_accepts_numpy_endpoints_and_integer_distance():
+    link = PhysicalLink(np.int64(3), np.int32(1), 2)
+    assert (link.u, link.v, link.distance_km) == (1, 3, 2)
+
+
 def test_network_rejects_duplicate_pair():
     nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
     with pytest.raises(InvalidParameterError):

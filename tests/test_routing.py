@@ -2,6 +2,7 @@ import itertools
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from entroute.errors import InvalidParameterError, InvariantViolationError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.network import Demand, EntangledGraph
 from entroute.routing import (
+    CutResult,
     Path,
     RoutingSchedule,
     allocate_path,
@@ -69,31 +71,31 @@ class TestShortestPath:
 
 
 class TestStMinCut:
+    """``st_min_cut`` gives the value; the reference also gives the cut."""
+
     def test_single_link(self):
         g = build_graph(2, [(0, 1)])
-        cut = st_min_cut(g, 0, 1)
-        assert cut.flexibility == 1
-        assert cut.cut_edge_ids == frozenset({0})
+        assert st_min_cut(g, 0, 1) == CutResult(1)
+        assert st_min_cut_reference(g, 0, 1) == (frozenset({0}), 1)
 
     def test_four_cycle(self, four_cycle):
-        cut = st_min_cut(four_cycle, 0, 1)
-        assert cut.flexibility == 2
-        assert len(cut.cut_edge_ids) == 2
+        assert st_min_cut(four_cycle, 0, 1).flexibility == 2
+        cut, value = st_min_cut_reference(four_cycle, 0, 1)
+        assert len(cut) == value == 2
 
     def test_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        cut = st_min_cut(g, 0, 2)
-        assert cut.flexibility == 0
-        assert cut.cut_edge_ids == frozenset()
+        assert st_min_cut(g, 0, 2).flexibility == 0
+        assert st_min_cut_reference(g, 0, 2) == (frozenset(), 0)
 
     def test_equal_endpoints_rejected(self, four_cycle):
         with pytest.raises(InvalidParameterError):
             st_min_cut(four_cycle, 2, 2)
 
     def test_cut_disconnects(self, four_cycle):
-        cut = st_min_cut(four_cycle, 0, 1)
+        cut, _ = st_min_cut_reference(four_cycle, 0, 1)
         edges = [(l.u, l.v) for l in four_cycle.links]
-        assert not connected(edges, 0, 1, cut.cut_edge_ids)
+        assert not connected(edges, 0, 1, cut)
 
     def test_respects_allocation(self, four_cycle):
         four_cycle.allocated[0] = True
@@ -172,13 +174,14 @@ def test_menger_equivalence_small_graphs(seed):
     for lid in allocated:
         g.allocated[lid] = True
     free_edges = [e for lid, e in enumerate(edges) if lid not in allocated]
-    cut = st_min_cut(g, src, dst)
-    assert cut.flexibility == max_edge_disjoint_paths_bruteforce(free_edges, src, dst)
-    assert cut.flexibility == min_cut_size_bruteforce(free_edges, src, dst)
-    assert len(cut.cut_edge_ids) == cut.flexibility
-    assert not cut.cut_edge_ids & allocated
-    assert not connected(edges, src, dst, cut.cut_edge_ids | allocated)
-    assert cut == st_min_cut_reference(g, src, dst)
+    value = st_min_cut(g, src, dst).flexibility
+    assert value == max_edge_disjoint_paths_bruteforce(free_edges, src, dst)
+    assert value == min_cut_size_bruteforce(free_edges, src, dst)
+    cut, reference_value = st_min_cut_reference(g, src, dst)
+    assert reference_value == value
+    assert len(cut) == value
+    assert not cut & allocated
+    assert not connected(edges, src, dst, cut | allocated)
 
 
 def _generated_graph(node_count: int, seed: int, allocated_share: float) -> EntangledGraph:
@@ -207,10 +210,10 @@ def _endpoint_pairs(g: EntangledGraph, rng: RngStream, count: int):
 
 
 class TestStMinCutAgainstReference:
-    """The bidirectional search against the one-directional reference.
+    """The bidirectional flow value against the one-directional reference.
 
-    Both return the cut around the residual source side, which every maximum
-    flow shares, so the cut link ids must agree and not just their count.
+    The reference also returns the cut around its residual source side and
+    checks its size against the flow; that cut must avoid allocated links.
     """
 
     @pytest.mark.parametrize("node_count", [50, 100, 250])
@@ -241,13 +244,57 @@ class TestStMinCutAgainstReference:
                 free = [lid for y, lid in g.adjacency[src]
                         if y == dst and not g.allocated[lid]]
                 dried.clear()
-                cut = st_min_cut(g, src, dst)
-                assert cut == st_min_cut_reference(g, src, dst), (case, src, dst)
+                value = st_min_cut(g, src, dst).flexibility
+                _assert_matches_reference(g, src, dst, value)
                 seen["adjacent"] += len(free) > 0
                 seen["parallel"] += len(free) > 1
-                seen["disconnected"] += cut.flexibility == 0
+                seen["disconnected"] += value == 0
                 seen["backward_dry" if -1 in dried else "forward_dry"] += 1
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (5, 5), (4, 9)])
+    def test_unit_grids(self, rows, cols):
+        """Grids give many equal-length augmenting paths at every step."""
+        net = generate_grid(rows, cols, 1.0, 4)
+        rng = RngStream(rows * 100 + cols).substream(5)
+        g = generate_entanglement(net, 0.0, rng.substream(0))
+        marks = rng.substream(1)
+        for share in (0.0, 0.3):
+            h = g.copy()
+            for lid in range(len(h.links)):
+                if marks.random() < share:
+                    h.allocated[lid] = True
+            n = h.node_count
+            pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+            if len(pairs) > 300:
+                pairs = [pairs[i] for i in rng.substream(2).sample(len(pairs), 300)]
+            for src, dst in pairs:
+                value = st_min_cut(h, src, dst).flexibility
+                _assert_matches_reference(h, src, dst, value)
+                assert value == _networkx_max_flow(h, src, dst), (share, src, dst)
+
+    def test_parallel_link_multigraphs(self):
+        """Random multigraphs where most node pairs repeat a link."""
+        rng = RngStream(78)
+        for case in range(300):
+            n, edges, src, dst = _random_multigraph(rng, max_nodes=7, max_edges=20)
+            edges += edges[: rng.randrange(len(edges) + 1)]
+            g = build_graph(n, edges)
+            for lid in range(len(g.links)):
+                if rng.random() < 0.2:
+                    g.allocated[lid] = True
+            for s, t in ((src, dst), (dst, src)):
+                value = st_min_cut(g, s, t).flexibility
+                _assert_matches_reference(g, s, t, value)
+                assert value == _networkx_max_flow(g, s, t), case
+
+
+def _assert_matches_reference(g: EntangledGraph, src: int, dst: int, value: int) -> None:
+    """The reference agrees on the value, and its cut is that many free links."""
+    cut, reference_value = st_min_cut_reference(g, src, dst)
+    assert value == reference_value, (src, dst)
+    assert len(cut) == value
+    assert not any(g.allocated[lid] for lid in cut)
 
 
 def _networkx_max_flow(g: EntangledGraph, src: int, dst: int) -> int:
@@ -275,19 +322,26 @@ def test_flexibility_matches_networkx(node_count):
             ), (case, src, dst)
 
 
-def test_flow_cut_mismatch_raises(monkeypatch):
-    g = build_graph(2, [(0, 1)])
-    grow = routing._grow_layer
+_SEARCHES = {
+    "shortest": shortest_entangled_path,
+    "min_distance": routing._min_distance_path,
+    "random": lambda g, src, dst: routing._random_simple_path(g, src, dst, RngStream(0)),
+    "min_cut": st_min_cut,
+}
 
-    def allocate_when_dry(g, flow, front, tree, other, sign):
-        grown, meet = grow(g, flow, front, tree, other, sign)
-        if not grown and meet is None:  # the flow is final; corrupt the cut
-            g.allocated[0] = True
-        return grown, meet
 
-    monkeypatch.setattr(routing, "_grow_layer", allocate_when_dry)
-    with pytest.raises(InvariantViolationError, match="max-flow/min-cut mismatch"):
-        st_min_cut(g, 0, 1)
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+@pytest.mark.parametrize("src, dst", [(0, 1.5), (0.0, 1), (0, True), (False, 1), (0, "1")])
+def test_searches_reject_non_integer_endpoints(search, src, dst):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        _SEARCHES[search](g, src, dst)
+
+
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+def test_searches_accept_numpy_integer_endpoints(search):
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert _SEARCHES[search](g, np.int64(0), np.int64(2)) == _SEARCHES[search](g, 0, 2)
 
 
 def test_path_rejects_malformed():
