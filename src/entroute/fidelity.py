@@ -81,6 +81,10 @@ def _check_qubit(qubit: int) -> None:
 
 
 def _check_rate_time(rate_hz: float, time_s: float) -> None:
+    # The exact type test spares float callers the slower full check.
+    if not (type(rate_hz) is float and type(time_s) is float):
+        require_finite("rate", rate_hz)
+        require_finite("time", time_s)
     # Chained comparisons are false for NaN, so these also reject it.
     if not 0 <= rate_hz < math.inf:
         raise InvalidParameterError(f"rate must be in [0, inf), got {rate_hz}")

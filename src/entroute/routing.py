@@ -7,9 +7,13 @@ allocation flags, and its schedule is the one place demand ids are kept.
 
 The path searches label only what their answer depends on. The minimum-hop
 search is a bidirectional BFS (Pohl, "Bi-directional search", 1971) that
-stops after the layer where its two trees meet, and the minimum-distance
-search runs Dijkstra from dst only as far as the descent from src needs.
-Both return exactly the path that labeling the whole component would give.
+stops after the layer where its two trees meet. The minimum-distance search
+is A* (Hart, Nilsson and Raphael, 1968) from dst toward src, guided by each
+demand source's distances over all links, a lower bound that holds while
+links are only ever claimed (Goldberg and Harrelson's landmark bounds, 2005),
+and it labels only as far as the descent from src needs. Both return exactly
+the path that labeling the whole component would give. The minimum-distance
+and random searches fail at once when src or dst has no free link left.
 
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
@@ -23,12 +27,15 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, InvariantViolationError, require_integer
 from .network import Demand, EntangledGraph
 from .rng import RngStream
+
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +113,14 @@ def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> None:
     n = g.node_count
     if not (0 <= src < n and 0 <= dst < n):
         raise InvalidParameterError(f"endpoint outside graph: src={src} dst={dst}")
+
+
+def _has_free_link(g: EntangledGraph, x: int) -> bool:
+    allocated = g.allocated
+    for _, lid in g.adjacency[x]:
+        if not allocated[lid]:
+            return True
+    return False
 
 
 def shortest_entangled_path(g: EntangledGraph, src: int, dst: int) -> Path | None:
@@ -336,6 +351,10 @@ def smpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
 
 def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedule:
     """FCFS round-robin baseline that picks a random simple path per service."""
+    if not isinstance(rng, RngStream):
+        raise InvalidParameterError(
+            f"rng must be an RngStream, got {type(rng).__name__}"
+        )
     demand_rngs: dict[int, RngStream] = {}
 
     def find_random(work: EntangledGraph, d: Demand) -> Path | None:
@@ -348,10 +367,20 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
 
 
 def dmpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
-    """FCFS round-robin baseline minimizing total physical distance."""
-    return _fcfs_schedule(
-        g, demands, lambda work, d: _min_distance_path(work, d.src, d.dst)
-    )
+    """FCFS round-robin baseline minimizing total physical distance.
+
+    Each demand source's distances over all links are computed once, at its
+    first service, and bound every later search toward it from below.
+    """
+    to_src: dict[int, list[float | None]] = {}
+
+    def find_nearest(work: EntangledGraph, d: Demand) -> Path | None:
+        h = to_src.get(d.src)
+        if h is None:
+            h = to_src[d.src] = _distances_from(work, d.src)
+        return _min_distance_path(work, d.src, d.dst, h)
+
+    return _fcfs_schedule(g, demands, find_nearest)
 
 
 def mcsa_schedule(
@@ -408,9 +437,14 @@ def _random_simple_path(
     """Depth-first search with per-node shuffled neighbor order.
 
     Returns the DFS tree path to dst, which is simple by construction and an
-    exact function of the stream state.
+    exact function of the stream state. When src or dst has no free link
+    the search fails at once, without the draws a full DFS would take; the
+    scheduler drops a demand for good after its first failure, so nothing
+    reads that demand's stream again.
     """
     _check_endpoints(g, src, dst)
+    if not (_has_free_link(g, src) and _has_free_link(g, dst)):
+        return None
     allocated = g.allocated
     adjacency = g.adjacency
     parents: dict[int, tuple[int, int] | None] = {src: None}
@@ -442,42 +476,116 @@ def _random_simple_path(
     return Path(tuple(reversed(nodes)), tuple(reversed(edges)))
 
 
-def _min_distance_path(g: EntangledGraph, src: int, dst: int) -> Path | None:
+def _distances_from(g: EntangledGraph, src: int) -> list[float | None]:
+    """Dijkstra distances from src over every link, allocated or not.
+
+    None marks a node that src cannot reach. Each value is the least
+    left-to-right float sum over the paths from src, so for every link x-y
+    of weight w the values satisfy ``h[x] <= h[y] + w`` as computed in float.
+    Parallel links share their fiber's distance and sit next to each other
+    in the adjacency, so only the first of them is relaxed.
+    """
+    links = g.links
+    adjacency = g.adjacency
+    dist: list[float | None] = [None] * g.node_count
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d_x, x = heapq.heappop(heap)
+        if d_x > dist[x]:  # type: ignore[operator]
+            continue
+        prev = -1
+        for y, lid in adjacency[x]:
+            if y == prev:
+                continue
+            prev = y
+            d_y = d_x + links[lid].distance_km
+            old = dist[y]
+            if old is None or d_y < old:
+                dist[y] = d_y
+                heapq.heappush(heap, (d_y, y))
+    return dist
+
+
+def _min_distance_path(
+    g: EntangledGraph,
+    src: int,
+    dst: int,
+    h: list[float | None] | None = None,
+) -> Path | None:
     """Minimum total physical distance path over unallocated links.
 
-    Dijkstra labels distances to dst only as far as the descent from src
-    needs them. It first stops when src pops. A descent step then takes the
-    smallest ``(w + dist[y], y, link id)`` over labeled, unseen neighbors y.
-    An unlabeled node z has ``dist[z]`` at least the smallest key left in
-    the heap, so its own key ``w + dist[z]`` is too; only when the best
-    labeled key reaches that bound does labeling resume, up to it. Every
-    step therefore matches the one over a fully labeled component.
+    The answer is that of labeling dst's whole free component with Dijkstra
+    and descending from src by the smallest ``(w + dist[y], y, link id)``
+    over unseen neighbors y, where ``dist`` is each node's least float sum
+    over the free paths from dst. Only a corridor is labeled to find it.
+
+    ``h`` holds the distances from src over all links, allocated or not
+    (``_distances_from``; computed here when not given). Links are only
+    ever claimed, so they stay lower bounds on every later distance to
+    src. A* labels from dst in ``(g + h, g, node)`` order until src pops.
+    Labels are label-correcting: a node whose label improves is pushed
+    again, and only then, so each label is the float sum of some free path from dst, never
+    below ``dist``, and a node's label equals ``dist`` once every node of
+    its Dijkstra tree path has popped with its exact label. Which labels
+    are exact therefore does not depend on the pop order.
+
+    The descent at ``here`` takes the smallest key ``best`` over neighbors
+    with a label, and resumes labeling while the smallest heap key is at
+    most ``(best + h[here]) * slack``. A neighbor y whose label is not exact
+    has a node v on its tree path whose exact entry is still in the heap,
+    so ``dist[v] + h[v]`` is at least the heap minimum K. Consistency of h
+    along the path from v through y to here, with every float sum within a
+    factor ``1 +- 2**-53`` of the real one and at most n of them on a path,
+    gives ``K <= (1 + (2n + 4) * 2**-53) * (w + dist[y] + h[here])``. With
+    the slack above that, a neighbor that is not exact keys above ``best``,
+    so every neighbor that could win or tie is exact and the step equals
+    the full-labeling one. A key that overflows to inf stands for a real sum
+    of at least the largest float, and then the bound is inf as well, so
+    the search labels the whole component, as the reference does; the
+    absolute term keeps the slack when the bound is subnormal.
     """
     _check_endpoints(g, src, dst)
+    if not (_has_free_link(g, src) and _has_free_link(g, dst)):
+        return None
+    if h is None:
+        h = _distances_from(g, src)
+    if h[dst] is None:
+        return None
     links = g.links
     allocated = g.allocated
     adjacency = g.adjacency
 
-    # Dijkstra labels toward dst; weights are positive and finite.
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = [(0.0, dst)]
+    # Tentative labels toward dst; None until a free path reaches the node.
+    label: list[float | None] = [None] * g.node_count
+    label[dst] = 0.0
+    heap: list[tuple[float, float, int]] = [(h[dst], 0.0, dst)]  # type: ignore[list-item]
 
-    def label_up_to(bound: float, stop: int = -1) -> None:
+    def label_up_to(bound: float, stop: int = -1) -> bool:
         while heap and heap[0][0] <= bound:
-            d_x, x = heapq.heappop(heap)
-            if x in dist:
-                continue
-            dist[x] = d_x
+            _, g_x, x = heapq.heappop(heap)
+            if g_x > label[x]:  # type: ignore[operator]
+                continue  # superseded by a shorter path
+            prev = -1
             for y, lid in adjacency[x]:
-                if y not in dist and not allocated[lid]:
-                    heapq.heappush(heap, (d_x + links[lid].distance_km, y))
+                # Parallel links share a distance, so the first free one
+                # stands for them all.
+                if y == prev or allocated[lid]:
+                    continue
+                prev = y
+                g_y = g_x + links[lid].distance_km
+                old = label[y]
+                if old is None or g_y < old:
+                    label[y] = g_y
+                    heapq.heappush(heap, (g_y + h[y], g_y, y))  # type: ignore[operator]
             if x == stop:
-                return
+                return True
+        return False
 
-    label_up_to(math.inf, src)
-    if src not in dist:
+    if not label_up_to(math.inf, src):
         return None
 
+    slack = 1.0 + (g.node_count + 2) * 2.0**-50
     nodes = [src]
     edges = []
     here = src
@@ -489,15 +597,16 @@ def _min_distance_path(g: EntangledGraph, src: int, dst: int) -> Path | None:
             for y, lid in adjacency[here]:
                 if allocated[lid] or y in seen:
                     continue
-                d_y = dist.get(y)
-                if d_y is None:
+                g_y = label[y]
+                if g_y is None:
                     continue
-                key = links[lid].distance_km + d_y
+                key = links[lid].distance_km + g_y
                 if step is None or key < best:
                     best, step = key, (y, lid)
-            if not heap or best < heap[0][0]:
+            bound = (best + h[here]) * slack + _FLOAT_MIN  # type: ignore[operator]
+            if not heap or heap[0][0] > bound:
                 break
-            label_up_to(best)
+            label_up_to(bound)
         if step is None:
             raise InvariantViolationError("distance descent lost its frontier")
         y, lid = step

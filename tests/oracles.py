@@ -16,7 +16,7 @@ from itertools import combinations
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
 from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
-from entroute.routing import Path, _check_endpoints
+from entroute.routing import Path, RoutingSchedule, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
@@ -361,3 +361,85 @@ def min_distance_path_reference(
         seen.add(y)
         here = y
     return Path(tuple(nodes), tuple(edges))
+
+
+def random_simple_path_reference(
+    g: EntangledGraph, src: int, dst: int, rng
+) -> Path | None:
+    """Full-DFS reference for ``entroute.routing._random_simple_path``.
+
+    Depth-first search with a shuffled list of free neighbors per popped
+    node, run to the end even when src or dst has no free link, so every
+    search takes the draws its DFS order asks for.
+    """
+    _check_endpoints(g, src, dst)
+    allocated = g.allocated
+    parents: dict[int, tuple[int, int] | None] = {src: None}
+    stack = [src]
+    while stack:
+        x = stack.pop()
+        if x == dst:
+            break
+        candidates = [
+            (y, lid)
+            for y, lid in g.adjacency[x]
+            if y not in parents and not allocated[lid]
+        ]
+        rng.shuffle(candidates)
+        for y, lid in candidates:
+            if y not in parents:
+                parents[y] = (x, lid)
+                stack.append(y)
+    if dst not in parents:
+        return None
+    nodes = [dst]
+    edges = []
+    node = dst
+    while node != src:
+        x, lid = parents[node]  # type: ignore[misc]
+        edges.append(lid)
+        nodes.append(x)
+        node = x
+    return Path(tuple(reversed(nodes)), tuple(reversed(edges)))
+
+
+def fcfs_schedule_reference(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
+    """First-come-first-served round robin on a copy of ``g``.
+
+    ``find_path(work, demand)`` returns a path or None. A found path is
+    claimed and its demand goes to the back of the queue; a demand with no
+    path leaves the queue for good.
+    """
+    work = g.copy()
+    paths: dict[int, list[Path]] = {d.id: [] for d in demands}
+    queue = deque(demands)
+    while queue:
+        d = queue.popleft()
+        p = find_path(work, d)
+        if p is None:
+            continue
+        for lid in p.edges:
+            assert not work.allocated[lid], f"link {lid} claimed twice"
+            work.allocated[lid] = True
+        paths[d.id].append(p)
+        queue.append(d)
+    return RoutingSchedule(paths)
+
+
+def rmpsa_schedule_reference(g: EntangledGraph, demands, rng) -> RoutingSchedule:
+    """RMPSA from the full DFS, one substream of ``rng`` per demand id."""
+    streams = {}
+
+    def find(work: EntangledGraph, d) -> Path | None:
+        if d.id not in streams:
+            streams[d.id] = rng.substream(d.id)
+        return random_simple_path_reference(work, d.src, d.dst, streams[d.id])
+
+    return fcfs_schedule_reference(g, demands, find)
+
+
+def dmpsa_schedule_reference(g: EntangledGraph, demands) -> RoutingSchedule:
+    """DMPSA from the full-Dijkstra path reference."""
+    return fcfs_schedule_reference(
+        g, demands, lambda work, d: min_distance_path_reference(work, d.src, d.dst)
+    )

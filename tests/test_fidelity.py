@@ -111,6 +111,13 @@ class TestChannelInputs:
         with pytest.raises(InvalidParameterError, match=r"must be in \[0, inf\)"):
             channel(bell_state(), rate, time, 0)
 
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_rejects_non_numeric_rate_and_time(self, channel, value):
+        with pytest.raises(InvalidParameterError, match="rate must be a number"):
+            channel(bell_state(), value, 1.0, 0)
+        with pytest.raises(InvalidParameterError, match="time must be a number"):
+            channel(bell_state(), 1.0, value, 0)
+
     @pytest.mark.parametrize("qubit", [True, False, "1", None])
     def test_rejects_non_integer_qubit(self, channel, qubit):
         with pytest.raises(InvalidParameterError, match="qubit must be 0 or 1"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import networkx as nx
 import numpy as np
@@ -455,6 +456,25 @@ class TestPathKernelsAgainstReference:
         assert p == min_distance_path_reference(g, 0, 3)
         assert p.nodes == (0, 1, 2, 4, 3)
 
+    def test_rounding_tie_off_the_corridor(self):
+        """A rounded sum ties the direct route, and the smaller id wins it.
+
+        From 6 to 4, the route 6-0-7-4 (0.2, 0.1, 1e-16) sums in float to
+        exactly what 6-3-4 (0.3, 1e-16) does, and node 0 is smaller than 3.
+        Node 7, through which node 0 is labeled, keys one rounding step above
+        ``best + h[src]``, so a resume bound without slack never labels node
+        0 and the search takes 6-3-4.
+        """
+        g = build_graph(
+            8,
+            [(0, 6), (0, 7), (1, 6), (2, 3), (2, 4), (3, 4), (3, 6), (4, 7)],
+            distances={(0, 6): 0.2, (0, 7): 0.1, (1, 6): 1.0, (2, 3): 1e-16,
+                       (2, 4): 0.3, (3, 4): 1e-16, (3, 6): 0.3, (4, 7): 1e-16},
+        )
+        p = routing._min_distance_path(g, 6, 4)
+        assert p == min_distance_path_reference(g, 6, 4)
+        assert p.nodes == (6, 0, 7, 4)
+
     def test_random_multigraphs_with_extreme_weights(self):
         """Near-zero weights, and weights whose sums overflow to inf."""
         weights = (1e-20, 1e-300, 0.5, 1.0, 1.0, 2.0, 1e308)
@@ -472,6 +492,33 @@ class TestPathKernelsAgainstReference:
                     shortest_entangled_path_reference(g, s, t)), case
                 assert _reference_or_error(routing._min_distance_path, g, s, t) == (
                     _reference_or_error(min_distance_path_reference, g, s, t)), case
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_min_distance_path_matches_reference_with_extreme_weights(seed):
+    """Whole paths against full Dijkstra, on every ordered endpoint pair.
+
+    Weights come from near-zero values, whose sums round away, decimal
+    fractions, whose sums round to neighboring floats, and overflow-scale
+    ones: 1e308, whose sums reach inf, and the largest float over n, at
+    which generated distances saturate.
+    """
+    rng = RngStream(seed)
+    n, edges, _, _ = _random_multigraph(rng, max_nodes=8, max_edges=16)
+    weights = (1e-20, 1e-300, 0.1, 0.3, 0.5, 1.0, 2.0, 1e308, sys.float_info.max / n)
+    pairs = sorted(set(edges))
+    g = build_graph(n, edges, distances={
+        pair: weights[rng.randrange(len(weights))] for pair in pairs})
+    share = rng.random()
+    for lid in range(len(g.links)):
+        if rng.random() < share:
+            g.allocated[lid] = True
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                assert _reference_or_error(routing._min_distance_path, g, src, dst) == (
+                    _reference_or_error(min_distance_path_reference, g, src, dst))
 
 
 @pytest.mark.parametrize("node_count", [30, 120])

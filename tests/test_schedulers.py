@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from entroute import routing
 from entroute.errors import InvalidParameterError
-from entroute.generation import generate_entanglement, generate_topology
+from entroute.generation import generate_entanglement, generate_grid, generate_topology
+from entroute.harness import _sample_demands
 from entroute.network import Demand, PhysicalLink, PhysicalNetwork
 from entroute.routing import (
     dmpsa_schedule,
@@ -17,7 +18,12 @@ from entroute.routing import (
 from entroute.rng import RngStream
 
 from conftest import build_graph
-from oracles import min_total_distance_bruteforce, validate_schedule
+from oracles import (
+    dmpsa_schedule_reference,
+    min_total_distance_bruteforce,
+    rmpsa_schedule_reference,
+    validate_schedule,
+)
 
 
 class TestSmpsa:
@@ -232,6 +238,87 @@ class TestDmpsa:
     def test_disconnected_demand_dropped(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         assert dmpsa_schedule(g, (Demand(0, 0, 2),)).k == 0
+
+
+def _isolate(g, node: int) -> None:
+    """Allocate every link of ``node``, leaving it no free link."""
+    for _, lid in g.adjacency[node]:
+        g.allocated[lid] = True
+
+
+def _fig5c_like_instances():
+    """fig5c settings (capacity 9.09, alpha 0.05, 5 demands) at three sizes.
+
+    Every instance also gets a demand from and a demand to a node whose
+    links were all allocated beforehand, so both searches fail at once.
+    """
+    for node_count in (50, 150, 250):
+        for case in range(4):
+            rng = RngStream(5000 + node_count).substream(case)
+            net = generate_topology(node_count, 7.44, 9.09, rng.substream(0))
+            g = generate_entanglement(net, 0.05, rng.substream(1))
+            demands = list(_sample_demands(node_count, 5, rng.substream(2)))
+            lonely = rng.randrange(node_count)
+            _isolate(g, lonely)
+            demands += [
+                Demand(5, lonely, (lonely + 1) % node_count),
+                Demand(6, (lonely + 2) % node_count, lonely),
+            ]
+            yield g, tuple(demands), rng.substream(3)
+
+
+def _grid_instances():
+    """Unit grids with alpha 0, where distances tie at nearly every step."""
+    for rows, cols in ((3, 3), (4, 6), (6, 6)):
+        rng = RngStream(rows * 100 + cols)
+        net = generate_grid(rows, cols, 1.0, 4)
+        g = generate_entanglement(net, 0.0, rng.substream(0))
+        n = net.node_count
+        demands = list(_sample_demands(n, 4, rng.substream(1)))
+        _isolate(g, n - 1)
+        demands.append(Demand(4, n - 1, 0))
+        yield g, tuple(demands), rng.substream(2)
+
+
+class TestFcfsBaselinesAgainstReference:
+    """RMPSA and DMPSA against FCFS driven by the full-search references.
+
+    The kernels fail at once when an endpoint has no free link and DMPSA
+    labels only a corridor; whole schedules must still agree byte for byte.
+    """
+
+    @staticmethod
+    def _count_isolated_endpoints(monkeypatch) -> list[int]:
+        hits = [0]
+        search = routing._random_simple_path
+
+        def counting(g, src, dst, rng):
+            hits[0] += not (routing._has_free_link(g, src) and routing._has_free_link(g, dst))
+            return search(g, src, dst, rng)
+
+        monkeypatch.setattr(routing, "_random_simple_path", counting)
+        return hits
+
+    @pytest.mark.parametrize("instances", [_fig5c_like_instances, _grid_instances])
+    def test_rmpsa(self, instances, monkeypatch):
+        hits = self._count_isolated_endpoints(monkeypatch)
+        for g, demands, rng in instances():
+            seed = rng.next_u64()
+            assert rmpsa_schedule(g, demands, RngStream(seed)).to_json() == (
+                rmpsa_schedule_reference(g, demands, RngStream(seed)).to_json())
+        assert hits[0] > 0
+
+    @pytest.mark.parametrize("instances", [_fig5c_like_instances, _grid_instances])
+    def test_dmpsa(self, instances):
+        for g, demands, _ in instances():
+            assert dmpsa_schedule(g, demands).to_json() == (
+                dmpsa_schedule_reference(g, demands).to_json())
+
+    @pytest.mark.parametrize("rng", [None, 5, 0.5, "rng"])
+    def test_rmpsa_rejects_a_non_stream_rng(self, rng):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidParameterError, match="rng must be an RngStream"):
+            rmpsa_schedule(g, (Demand(0, 0, 2),), rng)
 
 
 class TestCrossAlgorithmProperties:
