@@ -17,12 +17,19 @@ Entanglement generation budgets each node's qubits across its incident
 links in synchronized rounds.  In every round each link, visited in
 ascending (u, v) order (which walks each node's neighbors in ascending id
 order), claims one qubit-slot pair while both endpoints still have free
-qubits; rounds repeat until no link can pair.  Each claimed slot pair makes
-exactly one Bell-pair attempt, succeeding independently with probability
-exp(-alpha * distance); failed attempts release their qubits but are not
-retried.  One uniform draw per attempt, taken from a per-link substream, is
-compared against that threshold, so lowering alpha never shrinks the
-generated edge set for a fixed seed.
+qubits; rounds repeat until no link can pair.  A link that fails to pair has
+an endpoint with no free qubit left, and free qubits never come back, so
+each round visits only the links that paired in the round before, in the
+same order, and claims exactly the slots a full rescan would.  Each claimed
+slot pair makes exactly one Bell-pair attempt, succeeding independently with
+probability exp(-alpha * distance); failed attempts release their qubits but
+are not retried.
+
+Link i draws from the substream ``rng.substream(i)``.  The seeds of all
+links come in one block from ``hash64_range``, and a stream is built only
+for links with attempts.  Each attempt takes one scalar ``random()`` from its
+link's stream and compares it against the threshold, so lowering alpha never
+shrinks the generated edge set for a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .errors import (
     require_integer,
 )
 from .network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
-from .rng import RngStream
+from .rng import RngStream, hash64_range
 
 CONNECTIVITY_RETRY_BUDGET = 100
 # Node pairs drawn per block: caps the memory of an Erdos-Renyi attempt at a
@@ -170,18 +177,24 @@ def generate_grid(
 
 
 def _slot_pair_counts(net: PhysicalNetwork) -> list[int]:
-    """Attempts per link from the synchronized-round slot pairing."""
+    """Attempts per link from the synchronized-round slot pairing.
+
+    Each round visits only the links that paired in the round before: a link
+    that fails has a spent endpoint, and spent endpoints stay spent.
+    """
     free = [node.capacity for node in net.nodes]
     attempts = [0] * len(net.links)
-    paired = True
-    while paired:
-        paired = False
-        for index, link in enumerate(net.links):
-            if free[link.u] > 0 and free[link.v] > 0:
-                free[link.u] -= 1
-                free[link.v] -= 1
+    live = [(index, link.u, link.v) for index, link in enumerate(net.links)]
+    while live:
+        paired = []
+        for entry in live:
+            index, u, v = entry
+            if free[u] > 0 and free[v] > 0:
+                free[u] -= 1
+                free[v] -= 1
                 attempts[index] += 1
-                paired = True
+                paired.append(entry)
+        live = paired
     return attempts
 
 
@@ -200,13 +213,13 @@ def generate_entanglement(
         raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
 
     links: list[PhysicalLink] = []
-    for link_index, (plink, attempts) in enumerate(
-        zip(net.links, _slot_pair_counts(net))
+    for plink, attempts, seed in zip(
+        net.links, _slot_pair_counts(net), hash64_range(rng.seed, len(net.links))
     ):
         if attempts == 0:
             continue
         p_success = entanglement_probability(plink.distance_km, alpha)
-        link_rng = rng.substream(link_index)
+        link_rng = RngStream(seed)
         for _ in range(attempts):
             if link_rng.random() < p_success:
                 links.append(plink)

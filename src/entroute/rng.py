@@ -23,14 +23,21 @@ same floats that as many ``random()`` calls return, bit for bit.
 Derived seeds use ``hash64``: starting from ``acc = 0``, each value ``v`` is
 absorbed as ``acc = mix64((acc + 0x9E3779B97F4A7C15 + v) mod 2^64)`` where
 ``mix64`` is the finalizer above.  Any implementation of these two formulas
-reproduces the full stream hierarchy.
+reproduces the full stream hierarchy.  ``hash64_range(seed, count)`` is
+``[hash64(seed, i) for i in range(count)]``, the seeds of a stream's first
+``count`` substreams: it absorbs the seed once as a scalar and the indices in
+one ``uint64`` block, with the same wrapping arithmetic as ``random_array``.
+
+Seeds, hashed values, bounds and counts must be integers (Python or NumPy);
+anything else, such as ``1.5`` or ``"5"``, raises ``InvalidParameterError``
+instead of being truncated or parsed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -44,6 +51,18 @@ _U64_MIX_A = np.uint64(_MIX_A)
 _U64_MIX_B = np.uint64(_MIX_B)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is integral (NumPy included); else raise.
+
+    Streams are built per link and bounds checked per draw, so those callers
+    test ``type(value) is int`` themselves and skip the call for plain ints.
+    """
+    if type(value) is int:
+        return value
+    require_integer(name, value)
+    return int(value)
+
+
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a 64-bit bijective mixing function."""
     z &= _MASK64
@@ -52,12 +71,34 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` over a ``uint64`` array; call under ``errstate(over="ignore")``."""
+    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
+    return z ^ (z >> np.uint64(31))
+
+
 def hash64(*values: int) -> int:
     """Combine integers into one 64-bit value; used for child-seed derivation."""
     acc = 0
     for v in values:
-        acc = mix64((acc + _GOLDEN + (int(v) & _MASK64)) & _MASK64)
+        if type(v) is not int:
+            v = _integer("hashed value", v)
+        acc = mix64((acc + _GOLDEN + (v & _MASK64)) & _MASK64)
     return acc
+
+
+def hash64_range(seed: int, count: int) -> list[int]:
+    """``[hash64(seed, i) for i in range(count)]``, computed as one block."""
+    seed, count = _integer("seed", seed), _integer("count", count)
+    if count < 0:
+        raise InvalidParameterError(f"count must be >= 0, got {count}")
+    # The first absorption is hash64(seed); only the index varies after it.
+    acc = mix64((_GOLDEN + (seed & _MASK64)) & _MASK64)
+    base = (acc + _GOLDEN) & _MASK64
+    with np.errstate(over="ignore"):
+        z = _mix64_array(np.uint64(base) + np.arange(count, dtype=np.uint64))
+    return z.tolist()
 
 
 class RngStream:
@@ -70,7 +111,9 @@ class RngStream:
     __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        if type(seed) is not int:
+            seed = _integer("seed", seed)
+        self.seed = seed & _MASK64
         self._state = self.seed
 
     def substream(self, *keys: int) -> "RngStream":
@@ -91,14 +134,12 @@ class RngStream:
         Bit-identical to ``[self.random() for _ in range(count)]`` and leaves
         the stream in the same state.
         """
+        count = _integer("draw count", count)
         if count < 0:
             raise InvalidParameterError(f"draw count must be >= 0, got {count}")
         steps = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + steps * _U64_GOLDEN
-            z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-            z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
-            z ^= z >> np.uint64(31)
+            z = _mix64_array(np.uint64(self._state) + steps * _U64_GOLDEN)
         self._state = (self._state + count * _GOLDEN) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
@@ -107,6 +148,8 @@ class RngStream:
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
+        if type(n) is not int:
+            n = _integer("randrange bound", n)
         if n <= 0:
             raise InvalidParameterError(f"randrange bound must be positive, got {n}")
         # Largest multiple of n that fits in 64 bits; draws past it are biased.
@@ -118,6 +161,7 @@ class RngStream:
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], endpoints included."""
+        low, high = _integer("randint low", low), _integer("randint high", high)
         if high < low:
             raise InvalidParameterError(f"empty range [{low}, {high}]")
         return low + self.randrange(high - low + 1)
@@ -130,6 +174,10 @@ class RngStream:
 
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), order randomized."""
+        population = _integer("sample population", population)
+        k = _integer("sample size", k)
+        if k < 0:
+            raise InvalidParameterError(f"sample size must be >= 0, got {k}")
         if k > population:
             raise InvalidParameterError(
                 f"cannot sample {k} distinct values from {population}"

@@ -203,6 +203,46 @@ def generate_topology_scalar(
     return PhysicalNetwork(nodes, links)
 
 
+def slot_pair_counts_rescan(net: PhysicalNetwork) -> list[int]:
+    """Full-rescan reference for ``entroute.generation._slot_pair_counts``.
+
+    Every round visits every link in network order; rounds stop when one
+    pairs nothing.
+    """
+    free = [node.capacity for node in net.nodes]
+    attempts = [0] * len(net.links)
+    paired = True
+    while paired:
+        paired = False
+        for index, link in enumerate(net.links):
+            if free[link.u] > 0 and free[link.v] > 0:
+                free[link.u] -= 1
+                free[link.v] -= 1
+                attempts[index] += 1
+                paired = True
+    return attempts
+
+
+def generate_entanglement_scalar(net: PhysicalNetwork, alpha: float, rng) -> EntangledGraph:
+    """Per-link reference for ``entroute.generation.generate_entanglement``.
+
+    Link i with attempts derives ``rng.substream(i)`` (one scalar ``hash64``)
+    and draws one ``random()`` per attempt against exp(-alpha * distance).
+    """
+    links = []
+    for link_index, (plink, attempts) in enumerate(
+        zip(net.links, slot_pair_counts_rescan(net))
+    ):
+        if attempts == 0:
+            continue
+        p_success = math.exp(-alpha * plink.distance_km)
+        link_rng = rng.substream(link_index)
+        for _ in range(attempts):
+            if link_rng.random() < p_success:
+                links.append(plink)
+    return EntangledGraph(links, net)
+
+
 def st_min_cut_reference(
     g: EntangledGraph, src: int, dst: int
 ) -> tuple[frozenset[int], int]:

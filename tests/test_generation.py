@@ -17,7 +17,11 @@ from entroute.generation import (
 )
 from entroute.network import PhysicalLink, PhysicalNetwork, QuantumNode
 from entroute.rng import RngStream
-from oracles import generate_topology_scalar
+from oracles import (
+    generate_entanglement_scalar,
+    generate_topology_scalar,
+    slot_pair_counts_rescan,
+)
 
 
 class TestEntanglementProbability:
@@ -296,3 +300,68 @@ class TestGenerateEntanglement:
         for node in net.nodes:
             assert len(g.adjacency[node.id]) <= node.capacity
         assert all((l.u, l.v) in physical_pairs for l in g.links)
+
+
+# Generated topologies (n, average distance, average capacity) and grids
+# (rows, cols, capacity) for the oracle comparisons below.
+_TOPOLOGIES = [(2, 7.44, 3), (20, 7.44, 1), (50, 27.5, 9.09), (100, 7.44, 4), (250, 12.87, 11)]
+_GRIDS = [(2, 2, 1), (3, 4, 2), (5, 5, 3), (4, 9, 8)]
+
+
+def _networks():
+    for i, (n, distance, capacity) in enumerate(_TOPOLOGIES):
+        yield generate_topology(n, distance, capacity, RngStream(300 + i))
+    for rows, cols, capacity in _GRIDS:
+        yield generate_grid(rows, cols, 1.5, capacity)
+
+
+@st.composite
+def _shuffled_networks(draw):
+    """Small networks whose links come in any order, not only (u, v) order."""
+    node_count = draw(st.integers(min_value=2, max_value=8))
+    capacities = draw(st.lists(
+        st.integers(min_value=1, max_value=5), min_size=node_count, max_size=node_count
+    ))
+    pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    nodes = tuple(QuantumNode(i, c) for i, c in enumerate(capacities))
+    return PhysicalNetwork(nodes, tuple(PhysicalLink(u, v, 1.0) for u, v in chosen))
+
+
+class TestEntanglementMatchesScalarOracle:
+    def test_slot_pair_counts(self):
+        for net in _networks():
+            assert generation._slot_pair_counts(net) == slot_pair_counts_rescan(net)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shuffled_networks())
+    def test_slot_pair_counts_in_any_link_order(self, net):
+        assert generation._slot_pair_counts(net) == slot_pair_counts_rescan(net)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 1e3])
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+    def test_graphs(self, alpha, seed):
+        for net in _networks():
+            fast = generate_entanglement(net, alpha, RngStream(seed))
+            slow = generate_entanglement_scalar(net, alpha, RngStream(seed))
+            assert fast.to_json() == slow.to_json()
+            # Each Bell pair is the network's own link object.
+            assert [id(l) for l in fast.links] == [id(l) for l in slow.links]
+
+    def test_one_draw_per_attempt(self, monkeypatch):
+        # The benchmark tracer counts Bell-pair attempts as RngStream.next_u64
+        # calls inside generate_entanglement, so each attempt takes exactly one.
+        calls = 0
+        next_u64 = RngStream.next_u64
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return next_u64(self)
+
+        monkeypatch.setattr(RngStream, "next_u64", counting)
+        for alpha in (0.0, 0.05):
+            for net in _networks():
+                calls = 0
+                generate_entanglement(net, alpha, RngStream(5))
+                assert calls == sum(generation._slot_pair_counts(net))

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError
-from entroute.rng import RngStream, hash64, mix64
+from entroute.rng import RngStream, hash64, hash64_range, mix64
 
 
 def test_known_first_outputs():
@@ -103,3 +104,78 @@ def test_random_array_of_zero_does_not_advance():
 def test_random_array_rejects_negative_count():
     with pytest.raises(InvalidParameterError):
         RngStream(0).random_array(-1)
+
+
+_SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=1000),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=2**64 - 1000, max_value=2**64 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEEDS, st.one_of(st.integers(0, 3), st.integers(min_value=0, max_value=3000)))
+def test_hash64_range_matches_scalar_hash64(seed, count):
+    assert hash64_range(seed, count) == [hash64(seed, i) for i in range(count)]
+
+
+def test_hash64_range_gives_substream_seeds_as_ints():
+    seeds = hash64_range(2**64 - 1, 4)
+    assert all(type(s) is int for s in seeds)
+    assert seeds == [RngStream(2**64 - 1).substream(i).seed for i in range(4)]
+    assert hash64_range(np.uint64(9), np.int64(2)) == hash64_range(9, 2)
+
+
+@pytest.mark.parametrize("count", [-1, 1.0, "3"])
+def test_hash64_range_rejects_bad_counts(count):
+    with pytest.raises(InvalidParameterError):
+        hash64_range(0, count)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "5", None, True])
+def test_non_integers_are_rejected_not_truncated(bad):
+    with pytest.raises(InvalidParameterError):
+        hash64(bad)
+    with pytest.raises(InvalidParameterError):
+        hash64(3, bad)
+    with pytest.raises(InvalidParameterError):
+        RngStream(bad)
+    with pytest.raises(InvalidParameterError):
+        RngStream(3).substream(bad)
+    with pytest.raises(InvalidParameterError):
+        hash64_range(bad, 2)
+
+
+def test_numpy_integers_are_accepted():
+    assert hash64(np.int64(5), np.uint64(7)) == hash64(5, 7)
+    assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert type(RngStream(np.int32(5)).seed) is int
+    assert RngStream(3).substream(np.int16(2)).seed == RngStream(3).substream(2).seed
+    s, t = RngStream(4), RngStream(4)
+    assert s.randrange(np.int64(10)) == t.randrange(10)
+    assert s.randint(np.int8(2), np.uint16(9)) == t.randint(2, 9)
+    assert s.sample(np.int64(10), np.int64(3)) == t.sample(10, 3)
+    assert s.random_array(np.int64(4)).tolist() == t.random_array(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda s: s.randrange(2.5),
+        lambda s: s.randrange(3.0),
+        lambda s: s.randint(0, 1.5),
+        lambda s: s.randint(0.5, 3),
+        lambda s: s.sample(5.0, 2),
+        lambda s: s.sample(5, 2.0),
+        lambda s: s.sample(5, -1),
+        lambda s: s.random_array(2.5),
+        lambda s: s.random_array("2"),
+    ],
+)
+def test_draws_require_integer_bounds_and_counts(draw):
+    with pytest.raises(InvalidParameterError):
+        draw(RngStream(1))
+
+
+def test_sample_of_zero_is_empty():
+    assert RngStream(8).sample(5, 0) == []
