@@ -17,7 +17,6 @@ from .fidelity import (
     apply_dephasing,
     apply_depolarizing,
     bell_state,
-    fidelity,
     fidelity_sweep,
 )
 from .generation import (
@@ -93,7 +92,6 @@ __all__ = [
     "compute_metrics",
     "dmpsa_schedule",
     "entanglement_probability",
-    "fidelity",
     "fidelity_sweep",
     "generate_entanglement",
     "generate_grid",

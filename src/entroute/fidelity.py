@@ -5,6 +5,13 @@ memory noise accumulated over the fiber propagation delay.  Channels are
 applied analytically, so the expectation that a sampling simulator would
 estimate over thousands of shots is computed exactly in one evaluation.
 
+Every kernel takes one matrix or a stack of them.  A ``DensityMatrix``
+holds a ``(4, 4)`` matrix or an ``(n, 4, 4)`` stack and validates the
+whole stack at once; the channels take one time or a 1-D array of times,
+one per matrix; ``fidelity`` returns a float or a list of floats.  Each
+matrix of a stack gets, bit for bit, the value it would get alone, so a
+sweep evaluates every distance of one (channel, rate) pair as one stack.
+
 Channel parameterizations (rate r, elapsed time t):
     dephasing      rho -> (1-p) rho + p Z rho Z          p = (1 - exp(-r t)) / 2
     depolarizing   rho -> (1-p) rho + p I/2 (x) tr_q rho  p = 1 - exp(-r t)
@@ -27,24 +34,47 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 
+def _require(ok: np.ndarray, subject: str, problem: str, values=None) -> None:
+    """Raise InvariantViolationError unless a per-matrix check holds for all.
+
+    ``ok`` holds one bool per matrix (0-d for a single matrix). The message
+    names the first failing matrix of a stack by its index, and ``problem``
+    may show that matrix's entry of ``values`` through ``{}``.
+    """
+    if ok.all():
+        return
+    index = ()
+    if ok.ndim:
+        index = int(np.argmin(ok))
+        subject = f"{subject} {index} of the stack"
+    detail = None if values is None else values[index]
+    raise InvariantViolationError(f"{subject} {problem.format(detail)}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated 4x4 two-qubit density matrix."""
+    """A validated two-qubit density matrix, or a nonempty stack of them.
+
+    ``entries`` is one ``(4, 4)`` matrix or an ``(n, 4, 4)`` stack.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidParameterError(f"expected a 4x4 matrix, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
-            raise InvariantViolationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL or abs(np.trace(m).imag) > ATOL:
-            raise InvariantViolationError(
-                f"density matrix trace is {np.trace(m)}, expected 1"
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise InvalidParameterError(
+                f"expected a 4x4 matrix or a stack of them, got {m.shape}"
             )
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise InvariantViolationError("density matrix is not positive semidefinite")
+        if m.size == 0:
+            raise InvalidParameterError("density matrix stack is empty")
+        hermitian = np.isclose(m, m.swapaxes(-1, -2).conj(), atol=ATOL).all(axis=(-2, -1))
+        _require(hermitian, "density matrix", "is not Hermitian")
+        trace = np.trace(m, axis1=-2, axis2=-1)
+        unit = (abs(trace.real - 1.0) <= ATOL) & (abs(trace.imag) <= ATOL)
+        _require(unit, "density matrix", "trace is {}, expected 1", trace)
+        psd = np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL
+        _require(psd, "density matrix", "is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -80,48 +110,73 @@ def _check_qubit(qubit: int) -> None:
         raise InvalidParameterError(f"qubit must be 0 or 1, got {qubit}")
 
 
-def _check_rate_time(rate_hz: float, time_s: float) -> None:
-    # The exact type test spares float callers the slower full check.
-    if not (type(rate_hz) is float and type(time_s) is float):
+def _check_range(name: str, value, where: str = "") -> None:
+    # Chained comparisons are false for NaN, so this also rejects it.
+    if not 0 <= value < math.inf:
+        raise InvalidParameterError(f"{name} must be in [0, inf), got {value}{where}")
+
+
+def _decay(rho: DensityMatrix, rate_hz, time_s, qubit: int):
+    """Check a channel's arguments and return exp(-rate * time).
+
+    ``time_s`` is a float, or a 1-D float array with one time per matrix of
+    the result; then the result is an ``(n, 1, 1)`` array to broadcast.
+    Each entry comes from ``math.exp`` in Python, as for a single time:
+    NumPy's ``exp`` is not guaranteed to match it bit for bit.
+    """
+    if not isinstance(time_s, np.ndarray):
+        # The exact type test spares float callers the slower full check.
+        if not (type(rate_hz) is float and type(time_s) is float):
+            require_finite("rate", rate_hz)
+            require_finite("time", time_s)
+        _check_range("rate", rate_hz)
+        _check_range("time", time_s)
+        _check_qubit(qubit)
+        return math.exp(-rate_hz * time_s)
+    if type(rate_hz) is not float:
         require_finite("rate", rate_hz)
-        require_finite("time", time_s)
-    # Chained comparisons are false for NaN, so these also reject it.
-    if not 0 <= rate_hz < math.inf:
-        raise InvalidParameterError(f"rate must be in [0, inf), got {rate_hz}")
-    if not 0 <= time_s < math.inf:
-        raise InvalidParameterError(f"time must be in [0, inf), got {time_s}")
-
-
-def apply_dephasing(
-    rho: DensityMatrix, rate_hz: float, time_s: float, qubit: int
-) -> DensityMatrix:
-    """Phase-flip channel on one qubit with p = (1 - exp(-rate*time)) / 2."""
-    _check_rate_time(rate_hz, time_s)
+    _check_range("rate", rate_hz)
+    if time_s.ndim != 1 or time_s.dtype.kind != "f":
+        raise InvalidParameterError(
+            f"time must be a float or a 1-D float array, got a {time_s.dtype} "
+            f"array of shape {time_s.shape}"
+        )
+    m = rho.entries
+    if m.ndim == 3 and len(time_s) != len(m):
+        raise InvalidParameterError(f"{len(time_s)} times for a stack of {len(m)} matrices")
+    times = time_s.tolist()
+    for i, t in enumerate(times):
+        _check_range("time", t, f" at index {i}")
     _check_qubit(qubit)
-    p = (1.0 - math.exp(-rate_hz * time_s)) / 2.0
+    return np.array([math.exp(-rate_hz * t) for t in times]).reshape(-1, 1, 1)
+
+
+def apply_dephasing(rho: DensityMatrix, rate_hz: float, time_s, qubit: int) -> DensityMatrix:
+    """Phase-flip channel on one qubit with p = (1 - exp(-rate*time)) / 2.
+
+    An array of times maps one matrix, or a stack of as many, to a stack.
+    """
+    p = (1.0 - _decay(rho, rate_hz, time_s, qubit)) / 2.0
     z = np.kron(_Z, _I2) if qubit == 0 else np.kron(_I2, _Z)
     m = rho.entries
     return DensityMatrix((1.0 - p) * m + p * (z @ m @ z))
 
 
 def _partial_trace(m: np.ndarray, qubit: int) -> np.ndarray:
-    t = m.reshape(2, 2, 2, 2)
+    t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     if qubit == 0:
-        return np.einsum("abad->bd", t)
-    return np.einsum("abcb->ac", t)
+        return np.einsum("...abad->...bd", t)
+    return np.einsum("...abcb->...ac", t)
 
 
-def apply_depolarizing(
-    rho: DensityMatrix, rate_hz: float, time_s: float, qubit: int
-) -> DensityMatrix:
+def apply_depolarizing(rho: DensityMatrix, rate_hz: float, time_s, qubit: int) -> DensityMatrix:
     """Depolarizing channel on one qubit with p = 1 - exp(-rate*time).
 
     With probability p the chosen qubit is replaced by the maximally mixed
-    state while the other qubit keeps its reduced state.
+    state while the other qubit keeps its reduced state. Times broadcast as
+    in ``apply_dephasing``.
     """
-    _check_rate_time(rate_hz, time_s)
-    _check_qubit(qubit)
-    p = 1.0 - math.exp(-rate_hz * time_s)
+    p = 1.0 - _decay(rho, rate_hz, time_s, qubit)
     m = rho.entries
     reduced = _partial_trace(m, qubit)
     if qubit == 0:
@@ -133,29 +188,38 @@ def apply_depolarizing(
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() < -ATOL:
-        raise InvariantViolationError("matrix is not positive semidefinite")
+    _require(vals.min(axis=-1) >= -ATOL, "matrix", "is not positive semidefinite")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     """Uhlmann fidelity (trace sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments, 1 exactly when the states coincide, and for
-    pure sigma = |psi><psi| equal to <psi|rho|psi>.
+    pure sigma = |psi><psi| equal to <psi|rho|psi>. Returns a float, or a
+    list of floats when either argument is a stack; a single matrix pairs
+    with every matrix of the other stack.
     """
-    s = _psd_sqrt(rho.entries)
-    inner = s @ sigma.entries @ s
+    a, b = rho.entries, sigma.entries
+    if a.ndim == b.ndim == 3 and len(a) != len(b):
+        raise InvalidParameterError(f"stacks of {len(a)} and {len(b)} matrices do not pair")
+    s = _psd_sqrt(a)
+    inner = s @ b @ s
     # inner is Hermitian PSD up to rounding; clamp spectrum before the root.
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    if vals.min() < -ATOL:
-        raise InvariantViolationError("fidelity inner matrix lost positivity")
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+    _require(vals.min(axis=-1) >= -ATOL, "fidelity inner matrix", "lost positivity")
     # Rounding noise shows up as eigenvalues around 1e-16 relative to the
     # top one; square roots would amplify it, so zero anything that small.
-    floor = vals.max() * 1e-12 if vals.max() > 0 else 0.0
+    top = vals.max(axis=-1, keepdims=True)
+    floor = np.where(top > 0, top * 1e-12, 0.0)
     vals = np.where(vals < floor, 0.0, vals)
-    value = float(np.sqrt(vals).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+    roots = np.sqrt(vals).sum(axis=-1)
+    # Square each root sum as a NumPy scalar (C pow): an array ** 2 computes
+    # x * x, which is one ulp off on some cells, and the pinned outputs were
+    # recorded with pow.
+    values = [min(max(float(r**2), 0.0), 1.0) for r in np.reshape(roots, -1)]
+    return values if np.ndim(roots) else values[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,8 +238,9 @@ def fidelity_sweep(
 ) -> list[FidelitySweepRow]:
     """Bell-pair fidelity after symmetric noise on both qubits for t = d/c.
 
-    Rows are ordered by (channel, rate, distance); the channel model is
-    analytic so each cell is a single exact evaluation.
+    Rows are ordered by (channel, rate, distance). The channel model is
+    analytic, so each cell is one exact evaluation; all distances of one
+    (channel, rate) pair are evaluated together as one stack.
     """
     for name, values in (
         ("dephasing rate", dephasing_rates_hz),
@@ -192,8 +257,13 @@ def fidelity_sweep(
         raise InvalidParameterError("propagation speed must be positive")
     if not distances_km or not (dephasing_rates_hz or depolarization_rates_hz):
         raise InvalidParameterError("fidelity sweep grid must be nonempty")
+    if distances_km[0] <= 0:
+        raise InvalidParameterError("distances must be positive")
 
     ideal = bell_state()
+    # Divide in Python: a tiny speed then overflows to inf with no
+    # RuntimeWarning, and the channels reject that time.
+    times = np.array([d / propagation_speed_km_per_s for d in distances_km])
     rows: list[FidelitySweepRow] = []
     channels = [
         ("dephasing", dephasing_rates_hz, apply_dephasing),
@@ -201,14 +271,11 @@ def fidelity_sweep(
     ]
     for name, rates, apply in channels:
         for rate in rates:
-            for distance in distances_km:
-                if distance <= 0:
-                    raise InvalidParameterError("distances must be positive")
-                t = distance / propagation_speed_km_per_s
-                noisy = apply(apply(ideal, rate, t, 0), rate, t, 1)
-                rows.append(
-                    FidelitySweepRow(name, rate, distance, fidelity(noisy, ideal))
-                )
+            noisy = apply(apply(ideal, rate, times, 0), rate, times, 1)
+            rows += [
+                FidelitySweepRow(name, rate, distance, value)
+                for distance, value in zip(distances_km, fidelity(noisy, ideal))
+            ]
     return rows
 
 

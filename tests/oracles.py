@@ -2,6 +2,7 @@
 
 Everything here is deliberately independent of the package's graph
 algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
+The fidelity reference works on plain 4x4 ndarrays, one cell at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
 from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
@@ -483,3 +486,60 @@ def dmpsa_schedule_reference(g: EntangledGraph, demands) -> RoutingSchedule:
     return fcfs_schedule_reference(
         g, demands, lambda work, d: min_distance_path_reference(work, d.src, d.dst)
     )
+
+
+# --- fidelity ---------------------------------------------------------------
+
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
+
+
+def _dephase_scalar(m: np.ndarray, rate: float, t: float, qubit: int) -> np.ndarray:
+    p = (1.0 - math.exp(-rate * t)) / 2.0
+    z = np.kron(_Z, _I2) if qubit == 0 else np.kron(_I2, _Z)
+    return (1.0 - p) * m + p * (z @ m @ z)
+
+
+def _depolarize_scalar(m: np.ndarray, rate: float, t: float, qubit: int) -> np.ndarray:
+    p = 1.0 - math.exp(-rate * t)
+    halves = m.reshape(2, 2, 2, 2)
+    if qubit == 0:
+        mixed = np.kron(_I2 / 2.0, np.einsum("abad->bd", halves))
+    else:
+        mixed = np.kron(np.einsum("abcb->ac", halves), _I2 / 2.0)
+    return (1.0 - p) * m + p * mixed
+
+
+def _fidelity_scalar(rho: np.ndarray, sigma: np.ndarray) -> float:
+    vals, vecs = np.linalg.eigh(rho)
+    s = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    inner = s @ sigma @ s
+    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    floor = vals.max() * 1e-12 if vals.max() > 0 else 0.0
+    vals = np.where(vals < floor, 0.0, vals)
+    return min(max(float(np.sqrt(vals).sum() ** 2), 0.0), 1.0)
+
+
+def fidelity_sweep_scalar(
+    dephasing_rates_hz, depolarization_rates_hz, distances_km,
+    propagation_speed_km_per_s: float = 200000.0,
+) -> list[tuple[str, float, float, float]]:
+    """Cell-by-cell reference for ``entroute.fidelity.fidelity_sweep``.
+
+    Two channel applications and one Uhlmann fidelity per cell, each on a
+    4x4 ndarray, in the sweep's row order; no validation. Rows are
+    ``(channel, rate_hz, distance_km, fidelity)`` tuples.
+    """
+    ideal = np.zeros((4, 4), dtype=complex)
+    ideal[np.ix_((0, 3), (0, 3))] = 0.5
+    rows = []
+    for name, rates, apply in (
+        ("dephasing", dephasing_rates_hz, _dephase_scalar),
+        ("depolarizing", depolarization_rates_hz, _depolarize_scalar),
+    ):
+        for rate in sorted(rates):
+            for distance in sorted(distances_km):
+                t = distance / propagation_speed_km_per_s
+                noisy = apply(apply(ideal, rate, t, 0), rate, t, 1)
+                rows.append((name, rate, distance, _fidelity_scalar(noisy, ideal)))
+    return rows

@@ -234,6 +234,16 @@ def test_non_finite_fidelity_grid_exit_code(flag, message, value, tmp_path, caps
     assert not out.exists()
 
 
+def test_time_overflow_exit_code(tmp_path, capsys):
+    # distance / speed overflows to inf: the sweep rejects that time.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "noise": {"propagation_speed_km_per_s": 1e-310}}))
+    out = tmp_path / "fid.csv"
+    assert main(["fidelity", "--config", str(config), "--out", str(out)]) == 2
+    assert "time must be in [0, inf), got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["1,,2", "1, ,2", "1,2,"])
 @pytest.mark.parametrize(
     "command, flag",

@@ -1,10 +1,12 @@
 import io
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entroute
 from entroute.errors import InvalidParameterError, InvariantViolationError
 from entroute.fidelity import (
     DensityMatrix,
@@ -16,6 +18,8 @@ from entroute.fidelity import (
     fidelity_sweep,
     write_fidelity_csv,
 )
+from entroute.harness import load_config, run_fidelity
+from oracles import fidelity_sweep_scalar
 
 LN2 = math.log(2.0)
 
@@ -63,6 +67,114 @@ class TestDensityMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidParameterError):
             DensityMatrix(np.eye(2, dtype=complex) / 2)
+
+
+def stack_of(*states: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(np.stack([s.entries for s in states]))
+
+
+class TestStacks:
+    def test_stack_keeps_its_shape_and_is_read_only(self):
+        stack = stack_of(*(random_mixed_state(seed) for seed in range(3)))
+        assert stack.entries.shape == (3, 4, 4)
+        assert not stack.entries.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4,), (16,), (1, 1, 4, 4), (3, 4, 2)])
+    def test_rejects_empty_stack_and_other_shapes(self, shape):
+        with pytest.raises(InvalidParameterError):
+            DensityMatrix(np.zeros(shape, dtype=complex))
+
+    def bad_stack(self, bad: np.ndarray) -> np.ndarray:
+        m = np.stack([random_mixed_state(seed).entries for seed in range(4)])
+        m[2] = bad
+        return m
+
+    def test_names_the_non_hermitian_matrix(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = 0.3
+        with pytest.raises(InvariantViolationError, match="density matrix 2 of the stack is not Hermitian"):
+            DensityMatrix(self.bad_stack(bad))
+
+    def test_names_the_matrix_with_bad_trace(self):
+        with pytest.raises(InvariantViolationError, match=r"density matrix 2 of the stack trace is \(2\+0j\)"):
+            DensityMatrix(self.bad_stack(np.eye(4, dtype=complex) / 2))
+
+    def test_names_the_matrix_with_a_negative_eigenvalue(self):
+        bad = np.diag([0.8, 0.5, -0.3, 0.0]).astype(complex)
+        with pytest.raises(InvariantViolationError, match="density matrix 2 of the stack is not positive"):
+            DensityMatrix(self.bad_stack(bad))
+
+    @pytest.mark.parametrize("channel", [apply_dephasing, apply_depolarizing])
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_stack_channel_equals_per_matrix_calls(self, channel, qubit):
+        states = [random_mixed_state(seed) for seed in range(6)]
+        times = np.array([0.0, 1e-6, 0.3, 1.0, 2.5, 40.0])
+        out = channel(stack_of(*states), 0.7, times, qubit).entries
+        for state, t, got in zip(states, times.tolist(), out):
+            assert np.array_equal(got, channel(state, 0.7, t, qubit).entries)
+
+    @pytest.mark.parametrize("channel", [apply_dephasing, apply_depolarizing])
+    def test_times_fan_one_matrix_out_to_a_stack(self, channel):
+        times = np.array([0.0, 0.5, 3.0])
+        out = channel(bell_state(), 2.0, times, 1).entries
+        assert out.shape == (3, 4, 4)
+        for t, got in zip(times.tolist(), out):
+            assert np.array_equal(got, channel(bell_state(), 2.0, t, 1).entries)
+
+    def test_stack_fidelity_equals_per_matrix_calls(self):
+        rhos = [random_mixed_state(seed) for seed in range(8)]
+        sigmas = [random_mixed_state(seed + 50) for seed in range(8)]
+        assert fidelity(stack_of(*rhos), stack_of(*sigmas)) == [
+            fidelity(r, s) for r, s in zip(rhos, sigmas)
+        ]
+        assert fidelity(stack_of(*rhos), bell_state()) == [
+            fidelity(r, bell_state()) for r in rhos
+        ]
+        assert fidelity(bell_state(), stack_of(*sigmas)) == [
+            fidelity(bell_state(), s) for s in sigmas
+        ]
+
+    def test_fidelity_of_one_matrix_is_a_float(self):
+        assert type(fidelity(bell_state(), bell_state())) is float
+        assert fidelity(stack_of(bell_state()), bell_state()) == [
+            fidelity(bell_state(), bell_state())
+        ]
+
+    def test_fidelity_rejects_stacks_that_do_not_pair(self):
+        with pytest.raises(InvalidParameterError, match="do not pair"):
+            fidelity(stack_of(bell_state(), bell_state()), stack_of(bell_state()))
+
+
+@pytest.mark.parametrize("channel", [apply_dephasing, apply_depolarizing])
+class TestChannelTimeArrays:
+    @pytest.mark.parametrize("times", [np.zeros((2, 2)), np.zeros(()), np.array([1, 2]),
+                                       np.array([True]), np.array(["1"])])
+    def test_rejects_arrays_not_1d_float(self, channel, times):
+        with pytest.raises(InvalidParameterError, match="1-D float array"):
+            channel(bell_state(), 1.0, times, 0)
+
+    def test_rejects_length_mismatch(self, channel):
+        stack = stack_of(bell_state(), bell_state(), bell_state())
+        with pytest.raises(InvalidParameterError, match="2 times for a stack of 3"):
+            channel(stack, 1.0, np.array([0.1, 0.2]), 0)
+
+    def test_rejects_empty_time_array(self, channel):
+        with pytest.raises(InvalidParameterError, match="empty"):
+            channel(bell_state(), 1.0, np.array([]), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_nan_infinite_or_negative_time(self, channel, bad):
+        with pytest.raises(InvalidParameterError, match=r"time must be in \[0, inf\), got .* at index 1"):
+            channel(bell_state(), 1.0, np.array([0.5, bad, 0.1]), 0)
+
+    @pytest.mark.parametrize("rate", [math.nan, -1.0, "1", True])
+    def test_checks_the_rate_first(self, channel, rate):
+        with pytest.raises(InvalidParameterError, match="rate must be"):
+            channel(bell_state(), rate, np.array([math.nan]), 0)
+
+    def test_checks_the_qubit(self, channel):
+        with pytest.raises(InvalidParameterError, match="qubit must be 0 or 1"):
+            channel(bell_state(), 1.0, np.array([0.5]), 2)
 
 
 class TestNoiseConfig:
@@ -253,3 +365,72 @@ class TestFidelitySweep:
         assert lines[0] == "channel,rate_hz,distance_km,fidelity"
         assert lines[1] == "dephasing,0,1,1.000000"
         assert len(lines) == 3
+
+
+# Copies of the benchmark's five distance grids (log-spaced over
+# 0.1 .. 100 km), kept here so that the tests stand without bench/.
+BENCHMARK_DISTANCE_GRIDS_KM = tuple(
+    tuple(10.0 ** (-1.0 + 3.0 * i / (size - 1)) for i in range(size))
+    for size in (16, 32, 48, 64, 80)
+)
+# Log-uniform over 1e-1 .. 1e11 Hz, which runs from no loss to saturation
+# on every grid, plus a noiseless rate.
+SWEEP_RATES_HZ = [0.0] + [10.0 ** (-1.0 + 12.0 * i / 23) for i in range(24)]
+
+
+def row_reprs(rows) -> list[str]:
+    return [repr((r.channel, r.rate_hz, r.distance_km, r.fidelity)) for r in rows]
+
+
+def oracle_reprs(rows) -> list[str]:
+    return [repr(row) for row in rows]
+
+
+class TestSweepMatchesScalarOracle:
+    """The stacked sweep equals the cell-by-cell reference bit for bit."""
+
+    @pytest.mark.parametrize("grid", BENCHMARK_DISTANCE_GRIDS_KM, ids=len)
+    def test_benchmark_grids(self, grid):
+        rates = SWEEP_RATES_HZ
+        assert row_reprs(fidelity_sweep(rates, rates, grid)) == oracle_reprs(
+            fidelity_sweep_scalar(rates, rates, grid)
+        )
+
+    def test_fig4(self):
+        config = load_config("fig4")
+        noise = config.noise
+        expected = fidelity_sweep_scalar(
+            [noise.dephasing_rate_hz], [noise.depolarization_rate_hz],
+            (1.0, 2.5, 5.0, 7.5), noise.propagation_speed_km_per_s,
+        )
+        assert row_reprs(run_fidelity(config)) == oracle_reprs(expected)
+
+    def test_c7_grid(self):
+        rates = [10.0 ** e for e in range(0, 11)]
+        distances = [1.0, 2.5, 5.0, 7.5]
+        rows = fidelity_sweep(rates, rates, distances)
+        assert len(rows) == 88
+        assert row_reprs(rows) == oracle_reprs(fidelity_sweep_scalar(rates, rates, distances))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=3),
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=3),
+        st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=12),
+        st.floats(min_value=1e-3, max_value=1e9),
+    )
+    def test_drawn_grids(self, dephasing, depolarizing, distances, speed):
+        rows = fidelity_sweep(dephasing, depolarizing, distances, speed)
+        expected = fidelity_sweep_scalar(dephasing, depolarizing, distances, speed)
+        assert row_reprs(rows) == oracle_reprs(expected)
+
+
+def test_tiny_speed_overflows_time_and_is_rejected():
+    with pytest.raises(InvalidParameterError, match=r"time must be in \[0, inf\), got inf"):
+        fidelity_sweep([1e6], [1e3], [1.0, 7.5], 1e-310)
+
+
+def test_entroute_fidelity_is_the_module():
+    assert isinstance(entroute.fidelity, types.ModuleType)
+    assert entroute.fidelity.fidelity is fidelity
+    assert "fidelity" not in entroute.__all__
