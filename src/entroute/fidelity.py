@@ -32,6 +32,9 @@ ATOL = 1e-9
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+# Z on qubit 0 and on qubit 1, and the maximally mixed qubit state.
+_Z_ON = (np.kron(_Z, _I2), np.kron(_I2, _Z))
+_HALF_I2 = _I2 / 2.0
 
 
 def _require(ok: np.ndarray, subject: str, problem: str, values=None) -> None:
@@ -51,26 +54,55 @@ def _require(ok: np.ndarray, subject: str, problem: str, values=None) -> None:
     raise InvariantViolationError(f"{subject} {problem.format(detail)}")
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """``np.isclose(m, h, atol=ATOL).all(axis=(-2, -1))`` for ``h = m^H``.
+
+    np.isclose's own formula, evaluated inline; the caller runs it under
+    ``np.errstate(invalid="ignore", over="ignore")``.
+    """
+    h = m.swapaxes(-1, -2).conj()
+    close = (abs(m - h) <= ATOL + 1e-05 * abs(h)) & np.isfinite(h) | (m == h)
+    return close.all(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated two-qubit density matrix, or a nonempty stack of them.
 
     ``entries`` is one ``(4, 4)`` matrix or an ``(n, 4, 4)`` stack.
+
+    The Hermitian test is ``np.isclose(m, h, atol=ATOL)`` with
+    ``h = m.swapaxes(-1, -2).conj()``, written out as np.isclose's own
+    formula (NumPy 2.x): ``|m - h| <= ATOL + 1e-5 |h|`` where ``h`` is
+    finite, or ``m == h``. Inline, it skips np.isclose's per-call argument
+    handling, and one ``np.errstate`` covers it and the trace, so huge
+    finite entries that overflow there fail their check instead of
+    warning. On a stack with finite entries it equals np.isclose per matrix
+    on NumPy 1.24 and 2.x. With a non-finite entry it gives NumPy 2.x's
+    answer on both; NumPy 1.24's np.isclose multiplies such entries by one,
+    and inf * 0 is NaN, so it calls every such matrix not close (and
+    warns).
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        try:
+            m = np.asarray(self.entries, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"density matrix entries are not complex numbers: {exc}"
+            ) from None
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise InvalidParameterError(
                 f"expected a 4x4 matrix or a stack of them, got {m.shape}"
             )
         if m.size == 0:
             raise InvalidParameterError("density matrix stack is empty")
-        hermitian = np.isclose(m, m.swapaxes(-1, -2).conj(), atol=ATOL).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            hermitian = _hermitian(m)
+            trace = np.trace(m, axis1=-2, axis2=-1)
         _require(hermitian, "density matrix", "is not Hermitian")
-        trace = np.trace(m, axis1=-2, axis2=-1)
         unit = (abs(trace.real - 1.0) <= ATOL) & (abs(trace.imag) <= ATOL)
         _require(unit, "density matrix", "trace is {}, expected 1", trace)
         psd = np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL
@@ -145,8 +177,11 @@ def _decay(rho: DensityMatrix, rate_hz, time_s, qubit: int):
     if m.ndim == 3 and len(time_s) != len(m):
         raise InvalidParameterError(f"{len(time_s)} times for a stack of {len(m)} matrices")
     times = time_s.tolist()
-    for i, t in enumerate(times):
-        _check_range("time", t, f" at index {i}")
+    # One vectorized test; the loop runs only to name the first bad index.
+    # isfinite goes first, so no NaN reaches a comparison.
+    if not (np.isfinite(time_s).all() and (time_s >= 0).all()):
+        for i, t in enumerate(times):
+            _check_range("time", t, f" at index {i}")
     _check_qubit(qubit)
     return np.array([math.exp(-rate_hz * t) for t in times]).reshape(-1, 1, 1)
 
@@ -157,7 +192,7 @@ def apply_dephasing(rho: DensityMatrix, rate_hz: float, time_s, qubit: int) -> D
     An array of times maps one matrix, or a stack of as many, to a stack.
     """
     p = (1.0 - _decay(rho, rate_hz, time_s, qubit)) / 2.0
-    z = np.kron(_Z, _I2) if qubit == 0 else np.kron(_I2, _Z)
+    z = _Z_ON[qubit]
     m = rho.entries
     return DensityMatrix((1.0 - p) * m + p * (z @ m @ z))
 
@@ -179,10 +214,13 @@ def apply_depolarizing(rho: DensityMatrix, rate_hz: float, time_s, qubit: int) -
     p = 1.0 - _decay(rho, rate_hz, time_s, qubit)
     m = rho.entries
     reduced = _partial_trace(m, qubit)
+    # np.kron's single complex products, broadcast: mixed[..., 2i+k, 2j+l]
+    # is a[i, j] * b[..., k, l] for kron(a, b).
     if qubit == 0:
-        mixed = np.kron(_I2 / 2.0, reduced)
+        mixed = _HALF_I2[:, None, :, None] * reduced[..., None, :, None, :]
     else:
-        mixed = np.kron(reduced, _I2 / 2.0)
+        mixed = reduced[..., :, None, :, None] * _HALF_I2[:, None, :]
+    mixed = mixed.reshape(m.shape)
     return DensityMatrix((1.0 - p) * m + p * mixed)
 
 
@@ -215,10 +253,10 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     floor = np.where(top > 0, top * 1e-12, 0.0)
     vals = np.where(vals < floor, 0.0, vals)
     roots = np.sqrt(vals).sum(axis=-1)
-    # Square each root sum as a NumPy scalar (C pow): an array ** 2 computes
-    # x * x, which is one ulp off on some cells, and the pinned outputs were
-    # recorded with pow.
-    values = [min(max(float(r**2), 0.0), 1.0) for r in np.reshape(roots, -1)]
+    # Square each root sum with C pow, as a NumPy scalar ** 2 does: an array
+    # ** 2 computes x * x, which is one ulp off on some cells, and the
+    # pinned outputs were recorded with pow.
+    values = [min(max(math.pow(r, 2.0), 0.0), 1.0) for r in roots.reshape(-1).tolist()]
     return values if np.ndim(roots) else values[0]
 
 
@@ -248,7 +286,9 @@ def fidelity_sweep(
         ("distance", distances_km),
     ):
         for value in values:
-            require_finite(name, value)
+            # The exact type test spares float callers the slower full check.
+            if type(value) is not float or not math.isfinite(value):
+                require_finite(name, value)
     dephasing_rates_hz = sorted(dephasing_rates_hz)
     depolarization_rates_hz = sorted(depolarization_rates_hz)
     distances_km = sorted(distances_km)

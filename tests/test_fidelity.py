@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import entroute
 from entroute.errors import InvalidParameterError, InvariantViolationError
 from entroute.fidelity import (
+    ATOL,
     DensityMatrix,
     NoiseConfig,
     apply_dephasing,
@@ -17,6 +18,7 @@ from entroute.fidelity import (
     fidelity,
     fidelity_sweep,
     write_fidelity_csv,
+    _hermitian,
 )
 from entroute.harness import load_config, run_fidelity
 from oracles import fidelity_sweep_scalar
@@ -67,6 +69,122 @@ class TestDensityMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidParameterError):
             DensityMatrix(np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("entries", ["abc", [[0.25, 0.0], [0.0]], {"a": 1}])
+    def test_rejects_entries_that_are_not_numbers(self, entries):
+        with pytest.raises(InvalidParameterError, match="not complex numbers"):
+            DensityMatrix(entries)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_entries_fail_their_check_without_warning(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with pytest.raises(InvariantViolationError, match="density matrix is not Hermitian"):
+            DensityMatrix(m)
+        with pytest.raises(InvariantViolationError,
+                           match=r"density matrix trace is \(inf\+0j\), expected 1"):
+            DensityMatrix(np.full((4, 4), 1e308))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_entries_at_hermitian_places_fail_the_trace(self):
+        # NumPy 2.x's np.isclose calls inf close to inf; the inline test
+        # does so on every NumPy, so the trace check is the one that fails.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = m[1, 2] = m[2, 1] = math.inf
+        with pytest.raises(InvariantViolationError, match=r"trace is \(inf\+0j\)"):
+            DensityMatrix(m)
+
+
+# Parts of drawn entries: infinities, NaN, signed zeros, subnormals, the
+# largest finite magnitudes and any other double.
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.25,
+                 1.0, 1e308, -1e308, 1.7976931348623157e308, -8.98846567431158e307,
+                 math.inf, -math.inf, math.nan]
+PARTS = st.sampled_from(SPECIAL_PARTS) | st.floats(width=64)
+ENTRIES = st.builds(complex, PARTS, PARTS)
+# Multiples of the tolerance ATOL + 1e-5 |h| just inside, on and past it.
+BOUNDARY_FACTORS = [0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 1.0,
+                    math.nextafter(1.0, 2.0), 1.0 + 1e-12, 2.0]
+
+
+def isclose_per_matrix(m: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.isclose(m, m.swapaxes(-1, -2).conj(), atol=ATOL).all(axis=(-2, -1))
+
+
+# NumPy 2.x's np.isclose is the single formula that DensityMatrix inlines.
+# NumPy 1.24's takes another path for non-finite input: it multiplies it by
+# a complex one, so inf + 0j turns into inf + nanj and equals nothing.
+ISCLOSE_IS_ONE_FORMULA = bool(isclose_per_matrix(np.full((4, 4), complex(math.inf, 0.0))))
+
+
+@st.composite
+def near_hermitian_stacks(draw):
+    """A (4, 4) matrix or an (n, 4, 4) stack: raw, Hermitian by construction
+    (infinities and NaN included), or that with off-diagonal pairs moved to
+    the tolerance boundary of an entry or of zero."""
+    shape = draw(st.sampled_from([(4, 4), (1, 4, 4), (2, 4, 4), (3, 4, 4)]))
+    size = math.prod(shape)
+    m = np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size)), dtype=complex)
+    m = m.reshape(shape)
+    mode = draw(st.sampled_from(["raw", "hermitian", "boundary"]))
+    if mode == "raw":
+        return m
+    upper = np.triu(np.ones((4, 4), dtype=bool))
+    m = np.where(upper, m, m.swapaxes(-1, -2).conj())
+    if draw(st.booleans()):
+        diagonal = np.arange(4)
+        m[..., diagonal, diagonal] = m[..., diagonal, diagonal].real
+    if mode == "boundary":
+        stack = m.reshape(-1, 4, 4)
+        for k in range(len(stack)):
+            for i, j in draw(st.lists(st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]),
+                                      max_size=3, unique=True)):
+                y = draw(st.sampled_from([0j, complex(stack[k, j, i]).conjugate()]))
+                stack[k, j, i] = y.conjugate()
+                with np.errstate(over="ignore"):
+                    tolerance = ATOL + 1e-05 * abs(np.complex128(y))
+                if not math.isfinite(tolerance):
+                    tolerance = draw(st.sampled_from([1e-300, 1.0, 1e300]))
+                step = draw(st.sampled_from([1.0, 1j, -1.0, (1 + 1j) / math.sqrt(2.0)]))
+                stack[k, i, j] = y + step * (draw(st.sampled_from(BOUNDARY_FACTORS)) * tolerance)
+    return m
+
+
+class TestInlineHermitianTest:
+    """DensityMatrix's inline Hermitian test against np.isclose itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_hermitian_stacks())
+    def test_equals_isclose_per_matrix(self, m):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _hermitian(m)
+        expected = isclose_per_matrix(m)
+        assert got.shape == expected.shape
+        if ISCLOSE_IS_ONE_FORMULA:
+            assert np.array_equal(got, expected)
+        else:
+            finite = np.isfinite(m).all(axis=(-2, -1))
+            assert np.array_equal(got[finite], expected[finite])
+            assert not expected[~finite].any()
+
+    # The mirrored entry compares against a tolerance from |m[0, 1]|, which
+    # differs from the one from |y| by about 1e-5 of it, so the factors stay
+    # 1e-3 clear of 1.
+    @pytest.mark.parametrize("factor, close", [(0.999, True), (1.001, False)])
+    def test_tolerance_boundary(self, factor, close):
+        m = random_mixed_state(3).entries.copy()
+        y = m[1, 0].conjugate()
+        m[0, 1] = y + factor * (ATOL + 1e-05 * abs(y))
+        assert bool(_hermitian(m)) is close is bool(isclose_per_matrix(m))
+
+    @pytest.mark.parametrize("entry, close", [(ATOL, True), (math.nextafter(ATOL, 1.0), False)])
+    def test_exactly_on_the_tolerance(self, entry, close):
+        # Next to a zero entry the tolerance is exactly ATOL, and so is the
+        # difference: the test is |m - h| <= tolerance, not <.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = entry
+        assert bool(_hermitian(m)) is close is bool(isclose_per_matrix(m))
 
 
 def stack_of(*states: DensityMatrix) -> DensityMatrix:
@@ -171,6 +289,16 @@ class TestChannelTimeArrays:
     def test_checks_the_rate_first(self, channel, rate):
         with pytest.raises(InvalidParameterError, match="rate must be"):
             channel(bell_state(), rate, np.array([math.nan]), 0)
+
+    @pytest.mark.parametrize("times, index", [
+        ([0.5, -1.0, 0.1, math.inf], 1),
+        ([0.5, math.nan, 0.1, -2.0], 1),
+        ([math.nan, 0.5, -1.0], 0),
+        ([0.5, 0.1, 0.2, -math.inf], 3),
+    ])
+    def test_names_the_first_bad_time(self, channel, times, index):
+        with pytest.raises(InvalidParameterError, match=rf"got .* at index {index}$"):
+            channel(bell_state(), 1.0, np.array(times), 0)
 
     def test_checks_the_qubit(self, channel):
         with pytest.raises(InvalidParameterError, match="qubit must be 0 or 1"):
