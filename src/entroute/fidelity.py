@@ -105,7 +105,17 @@ class DensityMatrix:
         _require(hermitian, "density matrix", "is not Hermitian")
         unit = (abs(trace.real - 1.0) <= ATOL) & (abs(trace.imag) <= ATOL)
         _require(unit, "density matrix", "trace is {}, expected 1", trace)
-        psd = np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL
+        try:
+            eigenvalues = np.linalg.eigvalsh(m)
+        except np.linalg.LinAlgError:
+            # Infinite entries at Hermitian places off the diagonal pass both
+            # checks above, and eigvalsh does not converge on them.
+            finite = np.isfinite(m).all(axis=(-2, -1))
+            _require(finite, "density matrix", "has a non-finite entry")
+            raise InvariantViolationError(
+                "density matrix eigenvalues did not converge"
+            ) from None
+        psd = eigenvalues.min(axis=-1) >= -ATOL
         _require(psd, "density matrix", "is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

@@ -11,10 +11,12 @@ topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
 sampling, and hash64(child, 3) the randomized scheduler (derived only when
 rmpsa is selected).  Within one instance every selected algorithm gets the
 same entangled graph and demand set; each scheduler claims links only in
-its own ``copy()`` of the graph's allocation flags. To enforce that, a
-digest of the serialized graph and its flags is taken before the first run
-and checked before each run after the first; a single algorithm needs no
-digest.
+its own ``copy()`` of the graph's allocation flags. The graph's structure
+is frozen, so a run can leak into the next only through those flags. To
+enforce that, a digest of the serialized graph and its flags is taken
+before the first run and checked before each run after the first; a single
+algorithm needs no digest. The graph builds its JSON text on the first
+call, so the guard serializes once per instance and only rehashes later.
 
 Raw result rows carry a measured ``runtime_ms``; it is excluded from row
 equality and from the default sweep output so that sweep results are

@@ -8,10 +8,12 @@ is generated over one fiber, so the multigraph stores it as that fiber's own
 ``PhysicalLink``: entangled link ``i`` is ``links[i]``, with the fiber's
 endpoints and distance.
 
-Nodes, links and demands are frozen, and graphs hold them and the entangled
-adjacency in tuples. The one mutable field, ``EntangledGraph.allocated``,
-holds one flag per link id that flips when a routing path claims the link;
-``EntangledGraph.copy`` gives each scheduler run its own flags.
+Nodes, links, demands and both graph types are frozen, and graphs hold the
+nodes, links and entangled adjacency in tuples. The one mutable state is
+``EntangledGraph.allocated``, a list of one flag per link id that flips in
+place when a routing path claims the link; ``EntangledGraph.copy`` gives
+each scheduler run its own flags. Since nothing that ``to_json`` writes can
+change, an entangled graph builds its JSON text once.
 """
 
 from __future__ import annotations
@@ -64,14 +66,14 @@ class PhysicalLink:
             object.__setattr__(self, "v", u)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PhysicalNetwork:
     nodes: tuple[QuantumNode, ...]
     links: tuple[PhysicalLink, ...]
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
-        self.links = tuple(self.links)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "links", tuple(self.links))
         ids = [n.id for n in self.nodes]
         if ids != list(range(len(ids))):
             raise InvalidParameterError("node ids must be contiguous 0..N-1")
@@ -119,32 +121,35 @@ class PhysicalNetwork:
         return f"{{{self._json_members()}}}"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EntangledGraph:
     """Multigraph of Bell pairs over the nodes of a physical network.
 
     ``links`` holds one entry per Bell pair: the ``PhysicalLink`` object of
     ``physical`` it was generated over, repeated once per pair. A link's id
-    is its index into ``links`` and ``allocated``, whose flag is set once a
-    routing path claims the link. ``adjacency[x]`` holds node x's sorted
-    ``(neighbor, link id)`` entries, allocated links included.
+    is its index into ``links`` and ``allocated``, whose flag is set in
+    place once a routing path claims the link. ``adjacency[x]`` holds node
+    x's sorted ``(neighbor, link id)`` entries, allocated links included.
     """
 
     links: tuple[PhysicalLink, ...]
     physical: PhysicalNetwork
     allocated: list[bool] = field(init=False, repr=False)
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    # The text of to_json(), built by its first call.
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.links = tuple(self.links)
-        self.allocated = [False] * len(self.links)
+        links = tuple(self.links)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "allocated", [False] * len(links))
         # Identity, not equality: value hashing of the frozen links is slow,
         # and an equal copy is not a fiber of this network.
         fibers = {id(link) for link in self.physical.links}
         adjacency: list[list[tuple[int, int]]] = [
             [] for _ in range(len(self.physical.nodes))
         ]
-        for index, link in enumerate(self.links):
+        for index, link in enumerate(links):
             if id(link) not in fibers:
                 raise InvalidParameterError(
                     f"entangled link {index} ({link.u},{link.v}) is not a"
@@ -152,7 +157,9 @@ class EntangledGraph:
                 )
             adjacency[link.u].append((link.v, index))
             adjacency[link.v].append((link.u, index))
-        self.adjacency = tuple([tuple(sorted(entries)) for entries in adjacency])
+        object.__setattr__(
+            self, "adjacency", tuple([tuple(sorted(entries)) for entries in adjacency])
+        )
 
     @property
     def node_count(self) -> int:
@@ -164,18 +171,27 @@ class EntangledGraph:
     def copy(self) -> "EntangledGraph":
         """Copy with its own allocation flags; everything else is shared."""
         clone = EntangledGraph.__new__(EntangledGraph)
-        clone.links = self.links
-        clone.physical = self.physical
-        clone.allocated = self.allocated.copy()
-        clone.adjacency = self.adjacency
+        setattr_ = object.__setattr__
+        setattr_(clone, "links", self.links)
+        setattr_(clone, "physical", self.physical)
+        setattr_(clone, "allocated", self.allocated.copy())
+        setattr_(clone, "adjacency", self.adjacency)
+        setattr_(clone, "_json", self._json)
         return clone
 
     def to_json(self) -> str:
-        """The physical network's JSON plus ``"entangled"``; flags are left out."""
-        entangled = ",".join(
-            [f'{{"id":{i},"u":{l.u},"v":{l.v}}}' for i, l in enumerate(self.links)]
-        )
-        return f'{{{self.physical._json_members()},"entangled":[{entangled}]}}'
+        """The physical network's JSON plus ``"entangled"``; flags are left out.
+
+        The text is built on the first call and returned by later ones.
+        """
+        text = self._json
+        if text is None:
+            entangled = ",".join(
+                [f'{{"id":{i},"u":{l.u},"v":{l.v}}}' for i, l in enumerate(self.links)]
+            )
+            text = f'{{{self.physical._json_members()},"entangled":[{entangled}]}}'
+            object.__setattr__(self, "_json", text)
+        return text
 
 
 @dataclass(frozen=True, slots=True)

@@ -143,9 +143,6 @@ class RngStream:
         self._state = (self._state + count * _GOLDEN) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if type(n) is not int:
@@ -158,13 +155,6 @@ class RngStream:
             draw = self.next_u64()
             if draw < threshold:
                 return draw % n
-
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high], endpoints included."""
-        low, high = _integer("randint low", low), _integer("randint high", high)
-        if high < low:
-            raise InvalidParameterError(f"empty range [{low}, {high}]")
-        return low + self.randrange(high - low + 1)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -24,6 +24,16 @@ from entroute.routing import Path, RoutingSchedule, _check_endpoints
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
 
+def draw_int(rng, lo: int, hi: int) -> int:
+    """Uniform integer in [lo, hi] from one bounded ``RngStream`` draw."""
+    return lo + rng.randrange(hi - lo + 1)
+
+
+def draw_uniform(rng, lo: float, hi: float) -> float:
+    """Uniform float in [lo, hi) from one ``RngStream.random`` draw."""
+    return lo + (hi - lo) * rng.random()
+
+
 def connected(edges: list[Edge], src: int, dst: int, removed: frozenset[int] = frozenset()) -> bool:
     """Is dst reachable from src ignoring the removed edge ids?"""
     frontier = [src]

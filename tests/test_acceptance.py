@@ -38,6 +38,8 @@ from entroute.rng import RngStream, hash64
 
 from oracles import (
     connected,
+    draw_int,
+    draw_uniform,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
     st_min_cut_reference,
@@ -74,10 +76,10 @@ def _sample_demand_set(n, count, rng):
 
 def _fuzz_instance(seed: int, max_nodes: int = 100):
     rng = RngStream(seed)
-    n = rng.randint(4, max_nodes)
-    net = generate_topology(n, 7.44, rng.uniform(2.0, 10.0), rng.substream(0))
-    g = generate_entanglement(net, rng.uniform(0.0, 0.15), rng.substream(1))
-    demands = _sample_demand_set(n, rng.randint(1, min(5, n // 2)), rng.substream(2))
+    n = draw_int(rng, 4, max_nodes)
+    net = generate_topology(n, 7.44, draw_uniform(rng, 2.0, 10.0), rng.substream(0))
+    g = generate_entanglement(net, draw_uniform(rng, 0.0, 0.15), rng.substream(1))
+    demands = _sample_demand_set(n, draw_int(rng, 1, min(5, n // 2)), rng.substream(2))
     return net, g, demands, rng.substream(3)
 
 
@@ -85,8 +87,8 @@ def test_c1_min_cut_oracle_equivalence():
     start = time.perf_counter()
     rng = RngStream(hash64(MASTER_SEED, 1))
     for case in range(500):
-        n = rng.randint(2, 6)
-        edge_count = rng.randint(0, 12)
+        n = draw_int(rng, 2, 6)
+        edge_count = draw_int(rng, 0, 12)
         edges = []
         for _ in range(edge_count):
             u, v = rng.randrange(n), rng.randrange(n)

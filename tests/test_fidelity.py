@@ -222,6 +222,19 @@ class TestStacks:
         with pytest.raises(InvariantViolationError, match="density matrix 2 of the stack is not positive"):
             DensityMatrix(self.bad_stack(bad))
 
+    @pytest.mark.parametrize("entry", [math.inf, complex(0.0, math.inf), complex(-math.inf, 0.0)])
+    def test_names_the_matrix_with_infinite_off_diagonal_entries(self, entry):
+        # Infinities at Hermitian places pass the Hermitian and trace checks,
+        # and eigvalsh does not converge on them; that must not escape as
+        # numpy.linalg.LinAlgError.
+        bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        bad[0, 1] = entry
+        bad[1, 0] = np.conj(entry)
+        with pytest.raises(InvariantViolationError, match="density matrix has a non-finite entry"):
+            DensityMatrix(bad)
+        with pytest.raises(InvariantViolationError, match="density matrix 2 of the stack has a non-finite entry"):
+            DensityMatrix(self.bad_stack(bad))
+
     @pytest.mark.parametrize("channel", [apply_dephasing, apply_depolarizing])
     @pytest.mark.parametrize("qubit", [0, 1])
     def test_stack_channel_equals_per_matrix_calls(self, channel, qubit):

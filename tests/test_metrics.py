@@ -14,6 +14,8 @@ from entroute.network import Demand, PhysicalLink, PhysicalNetwork, QuantumNode
 from entroute.routing import Path, RoutingSchedule, smpsa_schedule
 from entroute.rng import RngStream
 
+from oracles import draw_int
+
 
 def _schedule_with(path_specs):
     """RoutingSchedule stub: {demand_id: [(nodes, edges), ...]}."""
@@ -97,7 +99,7 @@ class TestDepletionRatio:
 @given(st.integers(min_value=0, max_value=2**32))
 def test_consumption_accounting_property(seed):
     rng = RngStream(seed)
-    n = rng.randint(5, 30)
+    n = draw_int(rng, 5, 30)
     net = generate_topology(n, 7.44, 4, rng.substream(0))
     g = generate_entanglement(net, 0.03, rng.substream(1))
     demands = (Demand(0, 0, n - 1), Demand(1, 1, n - 2))

@@ -14,7 +14,7 @@ from entroute.network import (
     PhysicalNetwork,
     QuantumNode,
 )
-from entroute.rng import RngStream
+from entroute.rng import RngStream, hash64
 
 from conftest import build_graph
 from oracles import graph_to_json_reference
@@ -196,3 +196,39 @@ class TestSerializerOracle:
         self.assert_matches(
             EntangledGraph([plinks[0], plinks[0]], PhysicalNetwork(nodes, plinks))
         )
+
+
+def _seed42_sweep_nodes_graph():
+    # The graph of sweep_nodes' largest size (n = 250, axis index 4) at
+    # master seed 42, iteration 0, through the harness's seed derivation.
+    child = hash64(42, 0, 4)
+    net = generate_topology(250, 7.44, 9.09, RngStream(hash64(child, 0)))
+    return generate_entanglement(net, 0.05, RngStream(hash64(child, 1)))
+
+
+def _hand_built_graph():
+    nodes = (QuantumNode(0, 3), QuantumNode(1, 2), QuantumNode(2, 1))
+    plinks = (PhysicalLink(0, 1, 0.1 + 0.2), PhysicalLink(1, 2, 2.5))
+    net = PhysicalNetwork(nodes, plinks)
+    return EntangledGraph([plinks[1], plinks[0], plinks[0]], net)
+
+
+@pytest.mark.parametrize(
+    "make", [_seed42_sweep_nodes_graph, _hand_built_graph], ids=["seed42_n250", "hand_built"]
+)
+def test_to_json_is_built_once_and_stays_exact(make):
+    graph = make()
+    early = graph.copy()
+    reference = graph_to_json_reference(graph)
+    first = graph.to_json()
+    assert first == reference
+    assert graph.to_json() is first
+    late = graph.copy()
+    assert late.to_json() is first
+    assert early.to_json() == reference
+    for clone in (early, late):
+        for link_id in range(0, len(clone.links), 2):
+            clone.allocated[link_id] = True
+        assert clone.to_json() == reference
+    assert graph.to_json() == reference
+    assert not any(graph.allocated)

@@ -25,6 +25,7 @@ from entroute.rng import RngStream
 from conftest import build_graph
 from oracles import (
     connected,
+    draw_int,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
     min_distance_path_reference,
@@ -152,8 +153,8 @@ class TestAllocatePath:
 
 
 def _random_multigraph(rng: RngStream, max_nodes=6, max_edges=12):
-    n = rng.randint(2, max_nodes)
-    m = rng.randint(0, max_edges)
+    n = draw_int(rng, 2, max_nodes)
+    m = draw_int(rng, 0, max_edges)
     edges = []
     for _ in range(m):
         u = rng.randrange(n)

@@ -20,6 +20,7 @@ from entroute.rng import RngStream
 from conftest import build_graph
 from oracles import (
     dmpsa_schedule_reference,
+    draw_int,
     min_total_distance_bruteforce,
     rmpsa_schedule_reference,
     validate_schedule,
@@ -326,10 +327,10 @@ class TestCrossAlgorithmProperties:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_edge_disjoint_and_valid_everywhere(self, seed):
         rng = RngStream(seed)
-        n = rng.randint(4, 40)
+        n = draw_int(rng, 4, 40)
         net = generate_topology(n, 7.44, 4, rng.substream(0))
         g = generate_entanglement(net, 0.05, rng.substream(1))
-        demand_count = rng.randint(1, min(5, n // 2))
+        demand_count = draw_int(rng, 1, min(5, n // 2))
         pairs = set()
         demands = []
         while len(demands) < demand_count:
