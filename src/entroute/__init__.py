@@ -55,7 +55,6 @@ from .routing import (
     allocate_path,
     dmpsa_schedule,
     mcsa_schedule,
-    path_flexibility,
     rmpsa_schedule,
     shortest_entangled_path,
     smpsa_schedule,
@@ -99,7 +98,6 @@ __all__ = [
     "hash64",
     "load_config",
     "mcsa_schedule",
-    "path_flexibility",
     "qubit_depletion_ratio",
     "rmpsa_schedule",
     "run_fidelity",

@@ -4,7 +4,7 @@ The CLI maps these onto process exit codes: invalid parameters and bad
 configs exit 2, topology generation failures exit 3, and internal
 invariant breaches exit 4.  ``require_integer`` and ``require_finite`` are
 the type checks that configs and generators run on numeric inputs before
-any range check.
+any range check; ``require_integer`` also returns the value as an ``int``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,13 @@ class InvariantViolationError(RuntimeError):
     """An internal consistency guarantee was broken (e.g. double allocation)."""
 
 
-def require_integer(name: str, value) -> None:
-    """Reject anything but an integer; bools and floats such as 10.0 too."""
+def require_integer(name: str, value) -> int:
+    """``value`` as an ``int`` (NumPy integers too); reject bools and floats like 10.0."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_finite(name: str, value) -> None:

@@ -92,7 +92,7 @@ def generate_topology(
     rng: RngStream,
 ) -> PhysicalNetwork:
     """Connected random network with the requested average distance/capacity."""
-    require_integer("node_count", node_count)
+    node_count = require_integer("node_count", node_count)
     require_finite("avg_distance_km", avg_distance_km)
     require_finite("avg_capacity", avg_capacity)
     if node_count < 2:
@@ -149,9 +149,8 @@ def generate_grid(
     rows: int, cols: int, distance_km: float, capacity: int
 ) -> PhysicalNetwork:
     """rows x cols grid with uniform link distance and node capacity."""
-    require_integer("rows", rows)
-    require_integer("cols", cols)
-    require_integer("capacity", capacity)
+    rows, cols = require_integer("rows", rows), require_integer("cols", cols)
+    capacity = require_integer("capacity", capacity)
     # Floats go straight to the range check, which also rejects NaN and inf.
     if type(distance_km) is not float:
         require_finite("distance_km", distance_km)

@@ -76,7 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("node_count", "demand_count", "iterations", "master_seed"):
-            require_integer(name, getattr(self, name))
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         for name in ("avg_capacity", "avg_distance_km", "alpha_per_km"):
             require_finite(name, getattr(self, name))
         # A bare string would otherwise be read one character per name.
@@ -383,10 +383,9 @@ def run_grid_check(rows: int, cols: int, demand_count: int, seed: int) -> GridCh
     with the min-cut-prioritized scheduler capped at one path per demand.
     The report says whether every demand received a path.
     """
-    require_integer("rows", rows)
-    require_integer("cols", cols)
-    require_integer("demand_count", demand_count)
-    require_integer("seed", seed)
+    rows, cols = require_integer("rows", rows), require_integer("cols", cols)
+    demand_count = require_integer("demand_count", demand_count)
+    seed = require_integer("seed", seed)
     if demand_count < 1:
         raise InvalidParameterError("demand_count must be >= 1")
     if rows < demand_count + 2:

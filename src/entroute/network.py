@@ -31,8 +31,10 @@ class QuantumNode:
 
     def __post_init__(self):
         # The exact type test spares generated nodes the slower full check.
-        if type(self.capacity) is not int:
-            require_integer(f"node {self.id}: capacity", self.capacity)
+        if not (type(self.id) is int and type(self.capacity) is int):
+            setattr_ = object.__setattr__
+            setattr_(self, "id", require_integer("node id", self.id))
+            setattr_(self, "capacity", require_integer(f"node {self.id}: capacity", self.capacity))
         if self.capacity < 1:
             raise InvalidParameterError(
                 f"node {self.id}: capacity must be >= 1, got {self.capacity}"
@@ -50,8 +52,9 @@ class PhysicalLink:
     def __post_init__(self):
         # The exact type test spares generated links the slower full check.
         if not (type(self.u) is int and type(self.v) is int and type(self.distance_km) is float):
-            require_integer("link endpoint", self.u)
-            require_integer("link endpoint", self.v)
+            setattr_ = object.__setattr__
+            setattr_(self, "u", require_integer("link endpoint", self.u))
+            setattr_(self, "v", require_integer("link endpoint", self.v))
             require_finite("link distance", self.distance_km)
         if self.u == self.v:
             raise InvalidParameterError(f"self-loop at node {self.u}")
@@ -205,9 +208,10 @@ class Demand:
     def __post_init__(self):
         # The exact type test spares sampled demands the slower full check.
         if not (type(self.id) is int and type(self.src) is int and type(self.dst) is int):
-            require_integer("demand id", self.id)
-            require_integer(f"demand {self.id}: src", self.src)
-            require_integer(f"demand {self.id}: dst", self.dst)
+            setattr_ = object.__setattr__
+            setattr_(self, "id", require_integer("demand id", self.id))
+            setattr_(self, "src", require_integer(f"demand {self.id}: src", self.src))
+            setattr_(self, "dst", require_integer(f"demand {self.id}: dst", self.dst))
         if self.src == self.dst:
             raise InvalidParameterError(
                 f"demand {self.id}: src and dst must differ, got {self.src}"

@@ -28,9 +28,9 @@ reproduces the full stream hierarchy.  ``hash64_range(seed, count)`` is
 ``count`` substreams: it absorbs the seed once as a scalar and the indices in
 one ``uint64`` block, with the same wrapping arithmetic as ``random_array``.
 
-Seeds, hashed values, bounds and counts must be integers (Python or NumPy);
-anything else, such as ``1.5`` or ``"5"``, raises ``InvalidParameterError``
-instead of being truncated or parsed.
+Seeds, hashed values, bounds and counts must be integers. NumPy integers are
+accepted and stored as ``int``; anything else, such as ``1.5`` or ``"5"``,
+raises ``InvalidParameterError`` instead of being truncated or parsed.
 """
 
 from __future__ import annotations
@@ -49,18 +49,6 @@ _MIX_B = 0x94D049BB133111EB
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_MIX_A = np.uint64(_MIX_A)
 _U64_MIX_B = np.uint64(_MIX_B)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is integral (NumPy included); else raise.
-
-    Streams are built per link and bounds checked per draw, so those callers
-    test ``type(value) is int`` themselves and skip the call for plain ints.
-    """
-    if type(value) is int:
-        return value
-    require_integer(name, value)
-    return int(value)
 
 
 def mix64(z: int) -> int:
@@ -82,15 +70,14 @@ def hash64(*values: int) -> int:
     """Combine integers into one 64-bit value; used for child-seed derivation."""
     acc = 0
     for v in values:
-        if type(v) is not int:
-            v = _integer("hashed value", v)
+        v = require_integer("hashed value", v)
         acc = mix64((acc + _GOLDEN + (v & _MASK64)) & _MASK64)
     return acc
 
 
 def hash64_range(seed: int, count: int) -> list[int]:
     """``[hash64(seed, i) for i in range(count)]``, computed as one block."""
-    seed, count = _integer("seed", seed), _integer("count", count)
+    seed, count = require_integer("seed", seed), require_integer("count", count)
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
     # The first absorption is hash64(seed); only the index varies after it.
@@ -111,8 +98,9 @@ class RngStream:
     __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int):
+        # Built once per link: plain ints skip the call.
         if type(seed) is not int:
-            seed = _integer("seed", seed)
+            seed = require_integer("seed", seed)
         self.seed = seed & _MASK64
         self._state = self.seed
 
@@ -134,7 +122,7 @@ class RngStream:
         Bit-identical to ``[self.random() for _ in range(count)]`` and leaves
         the stream in the same state.
         """
-        count = _integer("draw count", count)
+        count = require_integer("draw count", count)
         if count < 0:
             raise InvalidParameterError(f"draw count must be >= 0, got {count}")
         steps = np.arange(1, count + 1, dtype=np.uint64)
@@ -145,8 +133,9 @@ class RngStream:
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
+        # Checked once per draw: plain ints skip the call.
         if type(n) is not int:
-            n = _integer("randrange bound", n)
+            n = require_integer("randrange bound", n)
         if n <= 0:
             raise InvalidParameterError(f"randrange bound must be positive, got {n}")
         # Largest multiple of n that fits in 64 bits; draws past it are biased.
@@ -164,8 +153,8 @@ class RngStream:
 
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), order randomized."""
-        population = _integer("sample population", population)
-        k = _integer("sample size", k)
+        population = require_integer("sample population", population)
+        k = require_integer("sample size", k)
         if k < 0:
             raise InvalidParameterError(f"sample size must be >= 0, got {k}")
         if k > population:

@@ -103,16 +103,17 @@ class RoutingSchedule:
         )
 
 
-def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> None:
+def _check_endpoints(g: EntangledGraph, src: int, dst: int) -> tuple[int, int]:
+    """``(src, dst)`` as ints, once both are distinct nodes of ``g``."""
     # The exact type test spares well-typed callers the slower full check.
     if not (type(src) is int and type(dst) is int):
-        require_integer("src", src)
-        require_integer("dst", dst)
+        src, dst = require_integer("src", src), require_integer("dst", dst)
     if src == dst:
         raise InvalidParameterError(f"src and dst must differ, got {src}")
     n = g.node_count
     if not (0 <= src < n and 0 <= dst < n):
         raise InvalidParameterError(f"endpoint outside graph: src={src} dst={dst}")
+    return src, dst
 
 
 def _has_free_link(g: EntangledGraph, x: int) -> bool:
@@ -138,7 +139,7 @@ def shortest_entangled_path(g: EntangledGraph, src: int, dst: int) -> Path | Non
     Taking the smallest ``(node, link id)`` among those at each step gives
     the lexicographic minimum, since each one extends to a shortest path.
     """
-    _check_endpoints(g, src, dst)
+    src, dst = _check_endpoints(g, src, dst)
     allocated = g.allocated
     adjacency = g.adjacency
 
@@ -256,7 +257,7 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
     the flow. Only the value is computed; which links form the cut is left
     out, since no scheduler reads it.
     """
-    _check_endpoints(g, src, dst)
+    src, dst = _check_endpoints(g, src, dst)
     # Net flow per link, oriented from link.u to link.v.
     flow = [0] * len(g.links)
     value = 0
@@ -284,11 +285,6 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
             flow[nlid] += 1 if y < ny else -1
             y = ny
         value += 1
-
-
-def path_flexibility(g: EntangledGraph, d: Demand) -> int:
-    """Size of the minimum cut separating the demand's endpoints."""
-    return st_min_cut(g, d.src, d.dst).flexibility
 
 
 def allocate_path(
@@ -400,7 +396,7 @@ def mcsa_schedule(
     budget; the grid check uses it to probe 1-path-per-demand schedules.
     """
     if per_demand_cap is not None:
-        require_integer("per_demand_cap", per_demand_cap)
+        per_demand_cap = require_integer("per_demand_cap", per_demand_cap)
         if per_demand_cap < 1:
             raise InvalidParameterError(
                 f"per_demand_cap must be >= 1, got {per_demand_cap}"
@@ -417,7 +413,7 @@ def mcsa_schedule(
     active = [d for d in demands if budgets[d.id] > 0]
     while active:
         if len(active) > 1:
-            active.sort(key=lambda d: (path_flexibility(work, d), d.id))
+            active.sort(key=lambda d: (st_min_cut(work, d.src, d.dst).flexibility, d.id))
         served = []
         for d in active:
             p = shortest_entangled_path(work, d.src, d.dst)
@@ -442,7 +438,7 @@ def _random_simple_path(
     scheduler drops a demand for good after its first failure, so nothing
     reads that demand's stream again.
     """
-    _check_endpoints(g, src, dst)
+    src, dst = _check_endpoints(g, src, dst)
     if not (_has_free_link(g, src) and _has_free_link(g, dst)):
         return None
     allocated = g.allocated
@@ -545,7 +541,7 @@ def _min_distance_path(
     the search labels the whole component, as the reference does; the
     absolute term keeps the slack when the bound is subnormal.
     """
-    _check_endpoints(g, src, dst)
+    src, dst = _check_endpoints(g, src, dst)
     if not (_has_free_link(g, src) and _has_free_link(g, dst)):
         return None
     if h is None:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately independent of the package's graph
-algorithms: plain edge lists, exhaustive enumeration, no shared code paths.
+algorithms: plain edge lists, exhaustive enumeration or an integer program,
+no shared code paths.
 The fidelity reference works on plain 4x4 ndarrays, one cell at a time.
 """
 
@@ -16,6 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
 from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
@@ -104,6 +107,63 @@ def max_edge_disjoint_paths_bruteforce(edges: list[Edge], src: int, dst: int) ->
     result = best(frozenset(range(len(edges))))
     best.cache_clear()
     return result
+
+
+def max_min_disjoint_paths_milp(
+    node_count: int, edges: list[Edge], pairs: list[tuple[int, int]]
+) -> int:
+    """Exact ``k*``: the most paths every pair can hold at once, edge-disjoint.
+
+    An integer program solved by HiGHS. Variable ``x[d, e, r]`` is 1 when
+    pair d's flow crosses edge e in direction r (0: u to v, 1: v to u). Flow
+    is conserved per pair at every node but its two ends, each edge carries
+    at most one unit over all pairs and directions, and ``k`` is at most
+    every pair's net outflow from its source. Maximizing ``k`` gives
+    ``k*``, since an integral flow of value f splits into f edge-disjoint
+    paths plus cycles.
+    """
+    edge_count, pair_count = len(edges), len(pairs)
+    k_var = 2 * edge_count * pair_count
+    rows, cols, vals = [], [], []
+    lower, upper = [], []
+    row = 0
+    for d, (src, dst) in enumerate(pairs):
+        # Row (d, x) sums the net outflow of pair d at node x: 0 at every
+        # inner node, at least k at src and free at dst.
+        base = row
+        for e, (u, v) in enumerate(edges):
+            var = 2 * (d * edge_count + e)
+            rows += [base + u, base + v, base + v, base + u]
+            cols += [var, var, var + 1, var + 1]
+            vals += [1.0, -1.0, 1.0, -1.0]
+        rows.append(base + src)
+        cols.append(k_var)
+        vals.append(-1.0)
+        lower += [0.0] * node_count
+        upper += [0.0] * node_count
+        upper[base + src] = math.inf
+        lower[base + dst], upper[base + dst] = -math.inf, math.inf
+        row += node_count
+    for e in range(edge_count):
+        for d in range(pair_count):
+            var = 2 * (d * edge_count + e)
+            rows += [row, row]
+            cols += [var, var + 1]
+            vals += [1.0, 1.0]
+        lower.append(0.0)
+        upper.append(1.0)
+        row += 1
+    matrix = coo_array((vals, (rows, cols)), shape=(row, k_var + 1))
+    objective = np.zeros(k_var + 1)
+    objective[k_var] = -1.0
+    result = milp(
+        objective,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(k_var + 1),
+        bounds=Bounds(0, np.r_[np.ones(k_var), math.inf]),
+    )
+    assert result.status == 0, result.message
+    return round(result.x[k_var])
 
 
 def min_total_distance_bruteforce(

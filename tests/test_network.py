@@ -31,8 +31,16 @@ def test_node_capacity_must_be_an_integer(capacity):
         QuantumNode(0, capacity)
 
 
+@pytest.mark.parametrize("node_id", [0.0, True, "0"])
+def test_node_id_must_be_an_integer(node_id):
+    with pytest.raises(InvalidParameterError, match="node id must be an integer"):
+        QuantumNode(node_id, 2)
+
+
 def test_node_capacity_accepts_numpy_integers():
-    assert QuantumNode(0, np.int64(2)).capacity == 2
+    node = QuantumNode(np.int32(0), np.int64(2))
+    assert (node.id, node.capacity) == (0, 2)
+    assert type(node.id) is int and type(node.capacity) is int
 
 
 def test_link_normalizes_endpoints():
@@ -70,6 +78,7 @@ def test_link_rejects_non_numeric_distance(distance):
 def test_link_accepts_numpy_endpoints_and_integer_distance():
     link = PhysicalLink(np.int64(3), np.int32(1), 2)
     assert (link.u, link.v, link.distance_km) == (1, 3, 2)
+    assert type(link.u) is int and type(link.v) is int
 
 
 def test_network_rejects_duplicate_pair():
@@ -121,7 +130,9 @@ def test_demand_rejects_non_integer_ids_and_endpoints(fields):
 
 
 def test_demand_accepts_numpy_integers():
-    assert Demand(np.int64(0), np.int32(1), np.int64(8)).dst == 8
+    d = Demand(np.int64(0), np.int32(1), np.int64(8))
+    assert (d.id, d.src, d.dst) == (0, 1, 8)
+    assert all(type(x) is int for x in (d.id, d.src, d.dst))
 
 
 def test_serialization_schema():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroute.errors import InvalidParameterError
+from entroute.errors import InvalidParameterError, require_integer
 from entroute.rng import RngStream, hash64, hash64_range, mix64
 
 
@@ -126,8 +126,10 @@ def test_hash64_range_rejects_bad_counts(count):
         hash64_range(0, count)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, "5", None, True])
+@pytest.mark.parametrize("bad", [1.5, 1.0, 10.0, "5", None, True, np.float64(2.0), np.bool_(True)])
 def test_non_integers_are_rejected_not_truncated(bad):
+    with pytest.raises(InvalidParameterError, match="value must be an integer"):
+        require_integer("value", bad)
     with pytest.raises(InvalidParameterError):
         hash64(bad)
     with pytest.raises(InvalidParameterError):
@@ -141,6 +143,9 @@ def test_non_integers_are_rejected_not_truncated(bad):
 
 
 def test_numpy_integers_are_accepted():
+    for value in (np.int64(-3), np.uint64(2**64 - 1), np.int8(7)):
+        assert type(require_integer("value", value)) is int
+        assert require_integer("value", value) == value
     assert hash64(np.int64(5), np.uint64(7)) == hash64(5, 7)
     assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
     assert type(RngStream(np.int32(5)).seed) is int

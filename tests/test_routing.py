@@ -16,8 +16,11 @@ from entroute.routing import (
     Path,
     RoutingSchedule,
     allocate_path,
-    path_flexibility,
+    dmpsa_schedule,
+    mcsa_schedule,
+    rmpsa_schedule,
     shortest_entangled_path,
+    smpsa_schedule,
     st_min_cut,
 )
 from entroute.rng import RngStream
@@ -107,15 +110,15 @@ class TestStMinCut:
 class TestPathFlexibility:
     def test_bridge(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert path_flexibility(g, Demand(0, 0, 3)) == 1
+        assert st_min_cut(g, 0, 3).flexibility == 1
 
     def test_2x2_grid_corner_to_corner(self):
         g = build_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert path_flexibility(g, Demand(0, 0, 3)) == 2
+        assert st_min_cut(g, 0, 3).flexibility == 2
 
     def test_parallel_double_link(self):
         g = build_graph(2, [(0, 1), (0, 1)])
-        assert path_flexibility(g, Demand(0, 0, 1)) == 2
+        assert st_min_cut(g, 0, 1).flexibility == 2
 
 
 class TestAllocatePath:
@@ -340,10 +343,29 @@ def test_searches_reject_non_integer_endpoints(search, src, dst):
         _SEARCHES[search](g, src, dst)
 
 
+# The scheduler built on each search.
+_SCHEDULERS = {
+    "shortest": smpsa_schedule,
+    "min_distance": dmpsa_schedule,
+    "random": lambda g, demands: rmpsa_schedule(g, demands, RngStream(0)),
+    "min_cut": mcsa_schedule,
+}
+
+
 @pytest.mark.parametrize("search", sorted(_SEARCHES))
 def test_searches_accept_numpy_integer_endpoints(search):
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert _SEARCHES[search](g, np.int64(0), np.int64(2)) == _SEARCHES[search](g, 0, 2)
+    edges = [(0, 1), (1, 2), (0, 2), (0, 2)]
+    g = build_graph(3, edges)
+    found = _SEARCHES[search](g, np.int64(0), np.int64(2))
+    assert found == _SEARCHES[search](g, 0, 2)
+    if isinstance(found, Path):
+        assert all(type(x) is int for x in found.nodes)
+    # NumPy-typed links and demands give the schedule of int-typed ones.
+    g_np = build_graph(3, [(np.int64(u), np.int32(v)) for u, v in edges])
+    demands = (Demand(0, 0, 2), Demand(1, 1, 2))
+    demands_np = tuple(Demand(np.int64(d.id), np.int32(d.src), np.int64(d.dst)) for d in demands)
+    schedule = _SCHEDULERS[search](g, demands)
+    assert _SCHEDULERS[search](g_np, demands_np).to_json() == schedule.to_json()
 
 
 def test_path_rejects_malformed():

@@ -14,6 +14,7 @@ from entroute.routing import (
     mcsa_schedule,
     rmpsa_schedule,
     smpsa_schedule,
+    st_min_cut,
 )
 from entroute.rng import RngStream
 
@@ -21,6 +22,9 @@ from conftest import build_graph
 from oracles import (
     dmpsa_schedule_reference,
     draw_int,
+    draw_uniform,
+    max_edge_disjoint_paths_bruteforce,
+    max_min_disjoint_paths_milp,
     min_total_distance_bruteforce,
     rmpsa_schedule_reference,
     validate_schedule,
@@ -149,9 +153,7 @@ class TestMcsa:
             net = generate_topology(25, 7.44, 8, RngStream(seed))
             g = generate_entanglement(net, 0.01, RngStream(seed + 50))
             d = Demand(0, 0, net.node_count - 1)
-            from entroute.routing import path_flexibility
-
-            flex = path_flexibility(g, d)
+            flex = st_min_cut(g, d.src, d.dst).flexibility
             cap = min(g.capacity_of(d.src), g.capacity_of(d.dst))
             schedule = mcsa_schedule(g, (d,))
             assert len(schedule.paths[0]) == min(flex, cap)
@@ -360,3 +362,63 @@ class TestCrossAlgorithmProperties:
         assert data["demands"][0]["id"] == 0
         first = data["demands"][0]["paths"][0]
         assert set(first) == {"nodes", "edges"}
+
+
+class TestExactOptimum:
+    """Every scheduler's k against the exact optimum k* of the MILP oracle.
+
+    k* is the most edge-disjoint paths that every demand can hold at once,
+    so no schedule exceeds it, and no demand holds more than its min cut.
+    """
+
+    def test_oracle_on_hand_built_graphs(self):
+        cycle = [(0, 2), (2, 1), (0, 3), (3, 1)]
+        assert max_min_disjoint_paths_milp(4, cycle, [(0, 1)]) == 2
+        # Both demands need the double link 1-2, though each has a cut of 2.
+        chain = [(0, 1), (0, 1), (1, 2), (1, 2)]
+        assert max_min_disjoint_paths_milp(3, chain, [(0, 2), (1, 2)]) == 1
+        assert max_min_disjoint_paths_milp(3, [(0, 1)], [(0, 2)]) == 0
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_oracle_matches_brute_force_for_one_demand(self, case):
+        rng = RngStream(6900).substream(case)
+        n = draw_int(rng, 3, 6)
+        edge_count = draw_int(rng, 3, 8)
+        edges = []
+        while len(edges) < edge_count:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v))
+        assert max_min_disjoint_paths_milp(n, edges, [(0, n - 1)]) == (
+            max_edge_disjoint_paths_bruteforce(edges, 0, n - 1))
+
+    @staticmethod
+    def _check(g, demands, rng) -> None:
+        edges = [(link.u, link.v) for link in g.links]
+        pairs = [(d.src, d.dst) for d in demands]
+        k_star = max_min_disjoint_paths_milp(g.node_count, edges, pairs)
+        assert k_star <= min(st_min_cut(g, d.src, d.dst).flexibility for d in demands)
+        for schedule in (
+            smpsa_schedule(g, demands),
+            mcsa_schedule(g, demands),
+            rmpsa_schedule(g, demands, rng),
+            dmpsa_schedule(g, demands),
+        ):
+            assert schedule.k <= k_star
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_k_within_optimum_on_small_graphs(self, case):
+        rng = RngStream(7000).substream(case)
+        n = draw_int(rng, 10, 30)
+        net = generate_topology(n, 7.44, draw_uniform(rng, 4.0, 12.0), rng.substream(0))
+        # Low loss, so that most instances have k* >= 1.
+        g = generate_entanglement(net, 0.01, rng.substream(1))
+        demands = _sample_demands(n, draw_int(rng, 2, 5), rng.substream(2))
+        self._check(g, demands, rng.substream(3))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_k_within_optimum_at_fig5_defaults(self, case):
+        rng = RngStream(7100).substream(case)
+        net = generate_topology(100, 7.44, 9.09, rng.substream(0))
+        g = generate_entanglement(net, 0.05, rng.substream(1))
+        self._check(g, _sample_demands(100, 5, rng.substream(2)), rng.substream(3))
