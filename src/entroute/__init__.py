@@ -46,7 +46,6 @@ from .network import (
     EntangledGraph,
     PhysicalLink,
     PhysicalNetwork,
-    QuantumNode,
 )
 from .routing import (
     CutResult,
@@ -78,7 +77,6 @@ __all__ = [
     "Path",
     "PhysicalLink",
     "PhysicalNetwork",
-    "QuantumNode",
     "ResultRow",
     "RngStream",
     "RoutingSchedule",

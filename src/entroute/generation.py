@@ -45,7 +45,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
+from .network import EntangledGraph, PhysicalLink, PhysicalNetwork
 from .rng import RngStream, hash64_range
 
 CONNECTIVITY_RETRY_BUDGET = 100
@@ -138,10 +138,7 @@ def generate_topology(
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
     scaled = rng.random_array(node_count) * float(cap_max)
-    nodes = tuple(
-        QuantumNode(i, 1 + min(int(x), cap_max - 1))
-        for i, x in enumerate(scaled.tolist())
-    )
+    nodes = tuple([1 + min(int(x), cap_max - 1) for x in scaled.tolist()])
     return PhysicalNetwork(nodes, links)
 
 
@@ -163,7 +160,7 @@ def generate_grid(
             f"distance must be positive and finite, got {distance_km}"
         )
 
-    nodes = tuple(QuantumNode(i, capacity) for i in range(rows * cols))
+    nodes = (capacity,) * (rows * cols)
     links = []
     for r in range(rows):
         for c in range(cols):
@@ -181,7 +178,7 @@ def _slot_pair_counts(net: PhysicalNetwork) -> list[int]:
     Each round visits only the links that paired in the round before: a link
     that fails has a spent endpoint, and spent endpoints stay spent.
     """
-    free = [node.capacity for node in net.nodes]
+    free = list(net.nodes)
     attempts = [0] * len(net.links)
     live = [(index, link.u, link.v) for index, link in enumerate(net.links)]
     while live:

@@ -94,6 +94,10 @@ class ExperimentConfig:
             raise InvalidParameterError("noise must be an object")
         if self.node_count < 2:
             raise InvalidParameterError("node_count must be >= 2")
+        if self.avg_capacity < 1:
+            raise InvalidParameterError(f"avg_capacity must be >= 1, got {self.avg_capacity}")
+        if self.avg_distance_km <= 0:
+            raise InvalidParameterError(f"avg_distance_km must be > 0, got {self.avg_distance_km}")
         max_demands = self.node_count * (self.node_count - 1) // 2
         if not (1 <= self.demand_count <= max_demands):
             raise InvalidParameterError(
@@ -359,8 +363,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             aggregates.extend(_aggregate("iterations", float(checkpoint), window))
         return SweepResult(tuple(raw), tuple(aggregates))
 
-    for axis_index, value in enumerate(config.sweep_values):
-        sub_config = _substitute_axis(config, config.sweep_axis, value)
+    # Every value is checked before the first instance runs.
+    sub_configs = [_substitute_axis(config, config.sweep_axis, v) for v in config.sweep_values]
+    for axis_index, (value, sub_config) in enumerate(zip(config.sweep_values, sub_configs)):
         value_rows: list[ResultRow] = []
         for iteration in range(config.iterations):
             rows = run_single(sub_config, iteration, axis_index, value)

@@ -33,7 +33,7 @@ def avg_hop_count(schedule: RoutingSchedule) -> float:
 
 def qubit_depletion_ratio(schedule: RoutingSchedule, net: PhysicalNetwork) -> float:
     """Fraction of the network's qubit capacity consumed by allocated paths."""
-    capacity = net.total_capacity()
+    capacity = sum(net.nodes)
     if capacity <= 0:
         raise InvalidParameterError("total network capacity must be positive")
     return (2 * schedule.total_hops) / capacity

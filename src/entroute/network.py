@@ -1,6 +1,7 @@
 """Domain types: physical quantum networks and entangled multigraphs.
 
-A physical network is a simple undirected graph of qubit-capacitated nodes.
+A physical network is a simple undirected graph over nodes 0..N-1, and node
+``i`` is nothing but its qubit capacity, ``PhysicalNetwork.nodes[i]``.
 Entanglement generation turns it into an entangled multigraph whose
 unit-weight edges are individual Bell pairs; parallel edges between the same
 node pair are allowed and consume one qubit at each endpoint. Each Bell pair
@@ -8,8 +9,8 @@ is generated over one fiber, so the multigraph stores it as that fiber's own
 ``PhysicalLink``: entangled link ``i`` is ``links[i]``, with the fiber's
 endpoints and distance.
 
-Nodes, links, demands and both graph types are frozen, and graphs hold the
-nodes, links and entangled adjacency in tuples. The one mutable state is
+Links, demands and both graph types are frozen, and graphs hold the node
+capacities, links and entangled adjacency in tuples. The one mutable state is
 ``EntangledGraph.allocated``, a list of one flag per link id that flips in
 place when a routing path claims the link; ``EntangledGraph.copy`` gives
 each scheduler run its own flags. Since nothing that ``to_json`` writes can
@@ -22,23 +23,6 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .errors import InvalidParameterError, require_finite, require_integer
-
-
-@dataclass(frozen=True, slots=True)
-class QuantumNode:
-    id: int
-    capacity: int
-
-    def __post_init__(self):
-        # The exact type test spares generated nodes the slower full check.
-        if not (type(self.id) is int and type(self.capacity) is int):
-            setattr_ = object.__setattr__
-            setattr_(self, "id", require_integer("node id", self.id))
-            setattr_(self, "capacity", require_integer(f"node {self.id}: capacity", self.capacity))
-        if self.capacity < 1:
-            raise InvalidParameterError(
-                f"node {self.id}: capacity must be >= 1, got {self.capacity}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,19 +55,25 @@ class PhysicalLink:
 
 @dataclass(frozen=True, slots=True)
 class PhysicalNetwork:
-    nodes: tuple[QuantumNode, ...]
+    """Fiber links over nodes ``0..N-1``; ``nodes[i]`` is node i's qubit capacity, an int >= 1."""
+
+    nodes: tuple[int, ...]
     links: tuple[PhysicalLink, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        nodes = tuple(self.nodes)
+        # The exact type test spares generated capacities the slower full check.
+        if not all([type(c) is int for c in nodes]):
+            nodes = tuple([require_integer(f"node {i}: capacity", c) for i, c in enumerate(nodes)])
+        for i, c in enumerate(nodes):
+            if c < 1:
+                raise InvalidParameterError(f"node {i}: capacity must be >= 1, got {c}")
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "links", tuple(self.links))
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(ids))):
-            raise InvalidParameterError("node ids must be contiguous 0..N-1")
         seen_pairs = set()
         for link in self.links:
             # Endpoints are stored as u < v, so these two bounds cover both.
-            if link.u < 0 or link.v >= len(ids):
+            if link.u < 0 or link.v >= len(nodes):
                 raise InvalidParameterError(
                     f"link ({link.u},{link.v}) references unknown node"
                 )
@@ -96,16 +86,10 @@ class PhysicalNetwork:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def capacity_of(self, node_id: int) -> int:
-        return self.nodes[node_id].capacity
-
-    def total_capacity(self) -> int:
-        return sum(n.capacity for n in self.nodes)
-
     def _json_members(self) -> str:
         """``"nodes":[...],"links":[...]``, the members both graphs share."""
         nodes = ",".join(
-            [f'{{"id":{n.id},"capacity":{n.capacity}}}' for n in self.nodes]
+            [f'{{"id":{i},"capacity":{c}}}' for i, c in enumerate(self.nodes)]
         )
         # json.dumps writes any float, NumPy float64 included, with
         # float.__repr__ and an int with its plain digits.
@@ -167,9 +151,6 @@ class EntangledGraph:
     @property
     def node_count(self) -> int:
         return len(self.physical.nodes)
-
-    def capacity_of(self, node_id: int) -> int:
-        return self.physical.capacity_of(node_id)
 
     def copy(self) -> "EntangledGraph":
         """Copy with its own allocation flags; everything else is shared."""

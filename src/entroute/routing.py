@@ -46,6 +46,11 @@ class Path:
     edges: tuple[int, ...]
 
     def __post_init__(self):
+        # The exact type test spares the searches' paths the slower full check.
+        if not all([type(x) is int for x in (*self.nodes, *self.edges)]):
+            setattr_ = object.__setattr__
+            setattr_(self, "nodes", tuple([require_integer("path node", x) for x in self.nodes]))
+            setattr_(self, "edges", tuple([require_integer("path link id", x) for x in self.edges]))
         if len(self.nodes) < 2 or len(self.edges) != len(self.nodes) - 1:
             raise InvalidParameterError(
                 f"malformed path: {len(self.nodes)} nodes, {len(self.edges)} edges"
@@ -290,12 +295,20 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
 def allocate_path(
     schedule: RoutingSchedule, g: EntangledGraph, demand_id: int, p: Path
 ) -> None:
-    """Claim a path's links and append it to the demand's path set."""
+    """Claim a path's links, each a free link of ``g`` joining its two path nodes, and file it."""
     paths = schedule.paths.get(demand_id)
     if paths is None:
         raise InvalidParameterError(f"path for unknown demand {demand_id}")
-    allocated = g.allocated
-    for lid in p.edges:
+    links, allocated, nodes = g.links, g.allocated, p.nodes
+    for i, lid in enumerate(p.edges):
+        if not 0 <= lid < len(links):
+            raise InvalidParameterError(f"path names link {lid}, not a link of the graph")
+        a, b = nodes[i], nodes[i + 1]
+        link = links[lid]
+        if (link.u, link.v) != ((a, b) if a < b else (b, a)):
+            raise InvalidParameterError(
+                f"link {lid} ({link.u},{link.v}) does not join path nodes {a} and {b}"
+            )
         if allocated[lid]:
             raise InvariantViolationError(
                 f"double allocation of entangled link {lid}"
@@ -404,10 +417,11 @@ def mcsa_schedule(
     demands = _validate_demands(g, demands)
     work = g.copy()
     schedule = RoutingSchedule({d.id: [] for d in demands})
+    capacities = work.physical.nodes
     budgets = {
         d.id: per_demand_cap
         if per_demand_cap is not None
-        else min(work.capacity_of(d.src), work.capacity_of(d.dst))
+        else min(capacities[d.src], capacities[d.dst])
         for d in demands
     }
     active = [d for d in demands if budgets[d.id] > 0]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork
 
 
 def build_graph(
@@ -25,14 +25,13 @@ def build_graph(
         degree[v] += 1
     if capacities is None:
         capacities = [max(1, d) for d in degree]
-    nodes = tuple(QuantumNode(i, capacities[i]) for i in range(node_count))
 
     fibers: dict[tuple[int, int], PhysicalLink] = {}
     for u, v in edges:
         pair = (min(u, v), max(u, v))
         if pair not in fibers:
             fibers[pair] = PhysicalLink(u, v, distances.get(pair, 1.0))
-    net = PhysicalNetwork(nodes, tuple(fibers.values()))
+    net = PhysicalNetwork(tuple(capacities), tuple(fibers.values()))
     return EntangledGraph([fibers[min(u, v), max(u, v)] for u, v in edges], net)
 
 

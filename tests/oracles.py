@@ -21,7 +21,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
-from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork
 from entroute.routing import Path, RoutingSchedule, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
@@ -228,7 +228,7 @@ def graph_to_json_reference(graph: PhysicalNetwork | EntangledGraph) -> str:
     """
     physical = graph if isinstance(graph, PhysicalNetwork) else graph.physical
     data = {
-        "nodes": [{"id": n.id, "capacity": n.capacity} for n in physical.nodes],
+        "nodes": [{"id": i, "capacity": c} for i, c in enumerate(physical.nodes)],
         "links": [
             {"u": l.u, "v": l.v, "distance_km": l.distance_km}
             for l in physical.links
@@ -270,8 +270,7 @@ def generate_topology_scalar(
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
     nodes = tuple(
-        QuantumNode(i, 1 + min(int(rng.random() * cap_max), cap_max - 1))
-        for i in range(node_count)
+        1 + min(int(rng.random() * cap_max), cap_max - 1) for _ in range(node_count)
     )
     return PhysicalNetwork(nodes, links)
 
@@ -282,7 +281,7 @@ def slot_pair_counts_rescan(net: PhysicalNetwork) -> list[int]:
     Every round visits every link in network order; rounds stop when one
     pairs nothing.
     """
-    free = [node.capacity for node in net.nodes]
+    free = list(net.nodes)
     attempts = [0] * len(net.links)
     paired = True
     while paired:

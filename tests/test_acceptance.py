@@ -208,7 +208,7 @@ def test_c5_depletion_accounting():
                 p.hop_count for ps in schedule.paths.values() for p in ps
             )
             # Exact accounting: ratio x C_N = 2 x hops in rational arithmetic.
-            assert rep.depletion_ratio == 2 * total_hops / net.total_capacity()
+            assert rep.depletion_ratio == 2 * total_hops / sum(net.nodes)
             assert 0.0 <= rep.depletion_ratio <= 1.0
             checked += 1
     report(5, "depletion accounting", True, f"{checked} schedules")

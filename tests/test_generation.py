@@ -15,7 +15,7 @@ from entroute.generation import (
     generate_grid,
     generate_topology,
 )
-from entroute.network import PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.network import PhysicalLink, PhysicalNetwork
 from entroute.rng import RngStream
 from oracles import (
     generate_entanglement_scalar,
@@ -87,7 +87,7 @@ class TestGenerateTopology:
 
     def test_capacities_at_least_one(self):
         net = generate_topology(50, 27.5, 3, RngStream(7))
-        assert all(node.capacity >= 1 for node in net.nodes)
+        assert all(capacity >= 1 for capacity in net.nodes)
 
     def test_deterministic_given_seed(self):
         a = generate_topology(40, 12.87, 5.05, RngStream(3))
@@ -179,7 +179,7 @@ class TestGenerateGrid:
         assert net.node_count == 25
         assert len(net.links) == 40
         assert all(l.distance_km == 2.5 for l in net.links)
-        assert all(n.capacity == 6 for n in net.nodes)
+        assert net.nodes == (6,) * 25
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=8))
     def test_structure_formula(self, rows, cols):
@@ -216,15 +216,15 @@ class TestGenerateGrid:
     def test_accepts_integer_distance_and_numpy_capacity(self):
         net = generate_grid(3, 3, 2, np.int64(4))
         assert all(l.distance_km == 2 for l in net.links)
-        assert all(n.capacity == 4 for n in net.nodes)
+        assert net.nodes == (4,) * 9
+        assert all(type(capacity) is int for capacity in net.nodes)
 
 
 def _line_network(capacities, distance=1.0):
-    nodes = tuple(QuantumNode(i, c) for i, c in enumerate(capacities))
     links = tuple(
         PhysicalLink(i, i + 1, distance) for i in range(len(capacities) - 1)
     )
-    return PhysicalNetwork(nodes, links)
+    return PhysicalNetwork(tuple(capacities), links)
 
 
 class TestGenerateEntanglement:
@@ -256,8 +256,8 @@ class TestGenerateEntanglement:
         for seed in range(10):
             net = generate_topology(30, 7.44, 4, RngStream(seed))
             g = generate_entanglement(net, 0.0, RngStream(seed + 100))
-            for node in net.nodes:
-                assert len(g.adjacency[node.id]) <= node.capacity
+            for node, capacity in enumerate(net.nodes):
+                assert len(g.adjacency[node]) <= capacity
 
     def test_locality(self):
         net = generate_topology(25, 7.44, 5, RngStream(8))
@@ -297,8 +297,8 @@ class TestGenerateEntanglement:
         net = generate_topology(node_count, 7.44, 3, RngStream(seed))
         g = generate_entanglement(net, 0.02, RngStream(seed ^ 0xABCDEF))
         physical_pairs = {(l.u, l.v) for l in net.links}
-        for node in net.nodes:
-            assert len(g.adjacency[node.id]) <= node.capacity
+        for node, capacity in enumerate(net.nodes):
+            assert len(g.adjacency[node]) <= capacity
         assert all((l.u, l.v) in physical_pairs for l in g.links)
 
 
@@ -324,8 +324,7 @@ def _shuffled_networks(draw):
     ))
     pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    nodes = tuple(QuantumNode(i, c) for i, c in enumerate(capacities))
-    return PhysicalNetwork(nodes, tuple(PhysicalLink(u, v, 1.0) for u, v in chosen))
+    return PhysicalNetwork(tuple(capacities), tuple(PhysicalLink(u, v, 1.0) for u, v in chosen))
 
 
 class TestEntanglementMatchesScalarOracle:

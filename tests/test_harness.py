@@ -270,6 +270,35 @@ class TestRunSweep:
         with pytest.raises(InvalidParameterError):
             run_sweep(config)
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("node_count", (30, 40, 1.5)),
+            ("demand_count", (3, 5, 1000)),
+            ("avg_capacity", (3, 5, 0.5)),
+            ("avg_distance", (5.0, 7.44, -1.0)),
+        ],
+    )
+    def test_bad_last_value_fails_before_any_instance(self, axis, values, monkeypatch):
+        import entroute.harness as harness
+
+        calls = []
+        real = harness.run_single
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_single", counting)
+        with pytest.raises(InvalidParameterError):
+            run_sweep(small_config(sweep_axis=axis, sweep_values=values))
+        assert len(calls) == 0
+        # The same sweep without its bad value runs every instance.
+        run_sweep(small_config(
+            algorithms=("smpsa",), iterations=1, sweep_axis=axis, sweep_values=values[:-1]
+        ))
+        assert len(calls) == len(values) - 1
+
     def test_single_iteration_aggregate_equals_row(self):
         config = small_config(
             algorithms=("mcsa",), iterations=1,

@@ -10,7 +10,7 @@ from entroute.metrics import (
     compute_metrics,
     qubit_depletion_ratio,
 )
-from entroute.network import Demand, PhysicalLink, PhysicalNetwork, QuantumNode
+from entroute.network import Demand, PhysicalLink, PhysicalNetwork
 from entroute.routing import Path, RoutingSchedule, smpsa_schedule
 from entroute.rng import RngStream
 
@@ -64,16 +64,11 @@ class TestAvgHopCount:
 
 class TestDepletionRatio:
     def test_no_allocations(self):
-        net = PhysicalNetwork(
-            (QuantumNode(0, 5), QuantumNode(1, 5)), (PhysicalLink(0, 1, 1.0),)
-        )
+        net = PhysicalNetwork((5, 5), (PhysicalLink(0, 1, 1.0),))
         assert qubit_depletion_ratio(_schedule_with({0: []}), net) == 0.0
 
     def test_two_hop_path_on_capacity_twenty(self):
-        nodes = tuple(QuantumNode(i, 5) for i in range(4))
-        net = PhysicalNetwork(
-            nodes, (PhysicalLink(0, 1, 1.0), PhysicalLink(1, 2, 1.0))
-        )
+        net = PhysicalNetwork((5,) * 4, (PhysicalLink(0, 1, 1.0), PhysicalLink(1, 2, 1.0)))
         schedule = _schedule_with({0: [((0, 1, 2), (0, 1))]})
         assert qubit_depletion_ratio(schedule, net) == pytest.approx(0.2)
 
@@ -85,7 +80,7 @@ class TestDepletionRatio:
         schedule = RoutingSchedule(
             {0: [Path((link.u, link.v), (lid,)) for lid, link in enumerate(g.links)]}
         )
-        expected = Fraction(2 * len(g.links), net.total_capacity())
+        expected = Fraction(2 * len(g.links), sum(net.nodes))
         assert qubit_depletion_ratio(schedule, net) == pytest.approx(float(expected))
         assert qubit_depletion_ratio(schedule, net) <= 1.0
 
@@ -106,7 +101,7 @@ def test_consumption_accounting_property(seed):
     schedule = smpsa_schedule(g, demands)
     report = compute_metrics(schedule, net)
     total_hops = sum(p.hop_count for ps in schedule.paths.values() for p in ps)
-    assert report.depletion_ratio == 2 * total_hops / net.total_capacity()
+    assert report.depletion_ratio == 2 * total_hops / sum(net.nodes)
     assert 0.0 <= report.depletion_ratio <= 1.0
     assert report.k == min(len(schedule.paths[d.id]) for d in demands)
     assert report.k == 0 or all(len(schedule.paths[d.id]) > 0 for d in demands)

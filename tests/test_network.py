@@ -12,7 +12,6 @@ from entroute.network import (
     EntangledGraph,
     PhysicalLink,
     PhysicalNetwork,
-    QuantumNode,
 )
 from entroute.rng import RngStream, hash64
 
@@ -21,26 +20,23 @@ from oracles import graph_to_json_reference
 
 
 def test_node_capacity_must_be_positive():
-    with pytest.raises(InvalidParameterError):
-        QuantumNode(0, 0)
+    with pytest.raises(InvalidParameterError, match="node 0: capacity must be >= 1, got 0"):
+        PhysicalNetwork((0,), ())
+    with pytest.raises(InvalidParameterError, match="node 2: capacity must be >= 1, got -1"):
+        PhysicalNetwork((2, 1, -1), ())
 
 
 @pytest.mark.parametrize("capacity", [1.5, 2.0, math.nan, True])
 def test_node_capacity_must_be_an_integer(capacity):
-    with pytest.raises(InvalidParameterError, match="must be an integer"):
-        QuantumNode(0, capacity)
-
-
-@pytest.mark.parametrize("node_id", [0.0, True, "0"])
-def test_node_id_must_be_an_integer(node_id):
-    with pytest.raises(InvalidParameterError, match="node id must be an integer"):
-        QuantumNode(node_id, 2)
+    with pytest.raises(InvalidParameterError, match="node 1: capacity must be an integer"):
+        PhysicalNetwork((2, capacity), ())
 
 
 def test_node_capacity_accepts_numpy_integers():
-    node = QuantumNode(np.int32(0), np.int64(2))
-    assert (node.id, node.capacity) == (0, 2)
-    assert type(node.id) is int and type(node.capacity) is int
+    net = PhysicalNetwork([np.int32(3), 2, np.int64(1)], ())
+    assert net.nodes == (3, 2, 1)
+    assert all(type(capacity) is int for capacity in net.nodes)
+    assert net.to_json() == graph_to_json_reference(net)
 
 
 def test_link_normalizes_endpoints():
@@ -82,24 +78,19 @@ def test_link_accepts_numpy_endpoints_and_integer_distance():
 
 
 def test_network_rejects_duplicate_pair():
-    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+    nodes = (1, 1)
     with pytest.raises(InvalidParameterError):
         PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0), PhysicalLink(1, 0, 2.0)))
 
 
-def test_network_rejects_noncontiguous_ids():
-    with pytest.raises(InvalidParameterError):
-        PhysicalNetwork((QuantumNode(0, 1), QuantumNode(2, 1)), ())
-
-
 def test_network_rejects_dangling_link():
-    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+    nodes = (1, 1)
     with pytest.raises(InvalidParameterError):
         PhysicalNetwork(nodes, (PhysicalLink(0, 5, 1.0),))
 
 
 def test_network_rejects_negative_node_id():
-    nodes = (QuantumNode(0, 1), QuantumNode(1, 1))
+    nodes = (1, 1)
     with pytest.raises(InvalidParameterError, match="unknown node"):
         PhysicalNetwork(nodes, (PhysicalLink(-1, 1, 1.0),))
 
@@ -110,7 +101,7 @@ def test_network_rejects_negative_node_id():
     ids=["negative_node", "no_fiber", "equal_copy"],
 )
 def test_entangled_graph_rejects_links_that_are_not_fibers(stray):
-    nodes = (QuantumNode(0, 1), QuantumNode(1, 1), QuantumNode(2, 1))
+    nodes = (1, 1, 1)
     net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
     with pytest.raises(InvalidParameterError, match="not a link of the physical"):
         EntangledGraph([net.links[0], stray], net)
@@ -136,7 +127,7 @@ def test_demand_accepts_numpy_integers():
 
 
 def test_serialization_schema():
-    nodes = (QuantumNode(0, 3), QuantumNode(1, 2))
+    nodes = (3, 2)
     net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 7.44),))
     assert net.to_json() == (
         '{"nodes":[{"id":0,"capacity":3},{"id":1,"capacity":2}],'
@@ -202,7 +193,7 @@ class TestSerializerOracle:
         ],
     )
     def test_hand_built_distances(self, distance):
-        nodes = (QuantumNode(0, 3), QuantumNode(1, 2), QuantumNode(2, 1))
+        nodes = (3, 2, 1)
         plinks = (PhysicalLink(0, 1, distance), PhysicalLink(1, 2, 2.5))
         self.assert_matches(
             EntangledGraph([plinks[0], plinks[0]], PhysicalNetwork(nodes, plinks))
@@ -218,7 +209,7 @@ def _seed42_sweep_nodes_graph():
 
 
 def _hand_built_graph():
-    nodes = (QuantumNode(0, 3), QuantumNode(1, 2), QuantumNode(2, 1))
+    nodes = (3, 2, 1)
     plinks = (PhysicalLink(0, 1, 0.1 + 0.2), PhysicalLink(1, 2, 2.5))
     net = PhysicalNetwork(nodes, plinks)
     return EntangledGraph([plinks[1], plinks[0], plinks[0]], net)

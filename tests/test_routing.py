@@ -154,6 +154,34 @@ class TestAllocatePath:
         assert g.allocated == [False]
         assert schedule.total_paths == 0
 
+    @staticmethod
+    def assert_rejected(p, match):
+        # The chain 0-1-2: link 0 joins nodes 0 and 1, link 1 joins 1 and 2.
+        g = build_graph(3, [(0, 1), (1, 2)])
+        schedule = RoutingSchedule({0: []})
+        with pytest.raises(InvalidParameterError, match=match):
+            allocate_path(schedule, g, 0, p)
+        assert g.allocated == [False, False]
+        assert schedule.total_paths == 0
+
+    def test_link_must_join_its_path_nodes(self):
+        self.assert_rejected(Path((0, 2), (0,)), r"link 0 \(0,1\) does not join path nodes 0 and 2")
+
+    def test_negative_link_id_rejected(self):
+        self.assert_rejected(Path((0, 1), (-1,)), "path names link -1, not a link")
+
+    def test_link_id_past_the_end_rejected(self):
+        self.assert_rejected(Path((1, 2), (2,)), "path names link 2, not a link")
+
+    def test_numpy_typed_path_is_filed_as_ints(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        schedule = RoutingSchedule({0: []})
+        allocate_path(schedule, g, 0, Path((np.int64(2), np.int64(1)), (np.int32(1),)))
+        p = schedule.paths[0][0]
+        assert all(type(x) is int for x in p.nodes + p.edges)
+        assert g.allocated == [False, True]
+        assert schedule.to_json() == '{"k":1,"demands":[{"id":0,"paths":[{"nodes":[2,1],"edges":[1]}]}]}'
+
 
 def _random_multigraph(rng: RngStream, max_nodes=6, max_edges=12):
     n = draw_int(rng, 2, max_nodes)
@@ -375,6 +403,14 @@ def test_path_rejects_malformed():
         Path((1, 2, 1), (0, 1))
     with pytest.raises(InvalidParameterError):
         Path((1, 2, 3), (0,))
+
+
+@pytest.mark.parametrize(
+    "nodes, edges", [((0, 1.0), (0,)), ((0, True), (0,)), ((0, 1), (0.0,)), ((0, 1), ("0",))]
+)
+def test_path_rejects_non_integer_nodes_and_links(nodes, edges):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        Path(nodes, edges)
 
 
 def _free_multigraph(g: EntangledGraph) -> nx.MultiGraph:

@@ -154,7 +154,7 @@ class TestMcsa:
             g = generate_entanglement(net, 0.01, RngStream(seed + 50))
             d = Demand(0, 0, net.node_count - 1)
             flex = st_min_cut(g, d.src, d.dst).flexibility
-            cap = min(g.capacity_of(d.src), g.capacity_of(d.dst))
+            cap = min(net.nodes[d.src], net.nodes[d.dst])
             schedule = mcsa_schedule(g, (d,))
             assert len(schedule.paths[0]) == min(flex, cap)
 
