@@ -27,9 +27,9 @@ are not retried.
 
 Link i draws from the substream ``rng.substream(i)``.  The seeds of all
 links come in one block from ``hash64_range``, and a stream is built only
-for links with attempts.  Each attempt takes one scalar ``random()`` from its
-link's stream and compares it against the threshold, so lowering alpha never
-shrinks the generated edge set for a fixed seed.
+for links with attempts.  Each attempt takes one ``next_u64()`` word from its
+link's stream and compares its ``random()`` float against the threshold, so
+lowering alpha never shrinks the generated edge set for a fixed seed.
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ def entanglement_probability(distance_km: float, alpha: float) -> float:
     return math.exp(-alpha * distance_km)
 
 
-def _is_connected(node_count: int, edges: list[tuple[int, int]]) -> bool:
-    if node_count == 0:
-        return True
+def _is_connected(node_count: int, us: list[int], vs: list[int]) -> bool:
     adjacency: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in edges:
+    for u, v in zip(us, vs):
         adjacency[u].append(v)
         adjacency[v].append(u)
     seen = [False] * node_count
@@ -107,19 +105,16 @@ def generate_topology(
     # (u, v) has index row_start[u] + v - u - 1 in that order.
     pair_count = node_count * (node_count - 1) // 2
     row_start = np.concatenate(([0], np.cumsum(np.arange(node_count - 1, 0, -1))))
-    edges: list[tuple[int, int]] | None = None
     for _ in range(CONNECTIVITY_RETRY_BUDGET):
         kept = np.concatenate([
             start + np.flatnonzero(rng.random_array(min(PAIR_BLOCK, pair_count - start)) < p)
             for start in range(0, pair_count, PAIR_BLOCK)
         ])
         u = np.searchsorted(row_start, kept, side="right") - 1
-        v = kept - row_start[u] + u + 1
-        candidate = list(zip(u.tolist(), v.tolist()))
-        if _is_connected(node_count, candidate):
-            edges = candidate
+        us, vs = u.tolist(), (kept - row_start[u] + u + 1).tolist()
+        if _is_connected(node_count, us, vs):
             break
-    if edges is None:
+    else:
         raise GenerationFailureError(
             f"no connected graph on {node_count} nodes within "
             f"{CONNECTIVITY_RETRY_BUDGET} attempts"
@@ -131,11 +126,9 @@ def generate_topology(
     # Distances saturate at the largest float over the node count: a simple
     # path has at most n - 1 links, so no path length overflows to inf.
     with np.errstate(over="ignore"):
-        distances = (0.5 + rng.random_array(len(edges))) * float(avg_distance_km)
+        distances = (0.5 + rng.random_array(len(us))) * float(avg_distance_km)
     distances = np.minimum(distances, sys.float_info.max / node_count)
-    links = tuple(
-        PhysicalLink(u, v, d) for (u, v), d in zip(edges, distances.tolist())
-    )
+    links = tuple(map(PhysicalLink._make, zip(us, vs, distances.tolist())))
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
     scaled = rng.random_array(node_count) * float(cap_max)
     nodes = tuple([1 + min(int(x), cap_max - 1) for x in scaled.tolist()])
@@ -166,10 +159,10 @@ def generate_grid(
         for c in range(cols):
             here = r * cols + c
             if c + 1 < cols:
-                links.append(PhysicalLink(here, here + 1, distance_km))
+                links.append((here, here + 1, distance_km))
             if r + 1 < rows:
-                links.append(PhysicalLink(here, here + cols, distance_km))
-    return PhysicalNetwork(nodes, tuple(links))
+                links.append((here, here + cols, distance_km))
+    return PhysicalNetwork(nodes, tuple(map(PhysicalLink._make, links)))
 
 
 def _slot_pair_counts(net: PhysicalNetwork) -> list[int]:
@@ -214,9 +207,11 @@ def generate_entanglement(
     ):
         if attempts == 0:
             continue
-        p_success = entanglement_probability(plink.distance_km, alpha)
-        link_rng = RngStream(seed)
+        # entanglement_probability's formula; the network checked distance_km.
+        p_success = math.exp(-alpha * plink.distance_km)
+        next_u64 = RngStream(seed).next_u64
         for _ in range(attempts):
-            if link_rng.random() < p_success:
+            # Bit for bit RngStream.random() < p_success, one call per attempt.
+            if (next_u64() >> 11) * 2.0**-53 < p_success:
                 links.append(plink)
     return EntangledGraph(links, net)

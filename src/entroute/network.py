@@ -9,8 +9,11 @@ is generated over one fiber, so the multigraph stores it as that fiber's own
 ``PhysicalLink``: entangled link ``i`` is ``links[i]``, with the fiber's
 endpoints and distance.
 
-Links, demands and both graph types are frozen, and graphs hold the node
-capacities, links and entangled adjacency in tuples. The one mutable state is
+Links are ``NamedTuple`` records that ``PhysicalNetwork`` checks in one loop
+and stores with int endpoints and ``u < v``; a record already in that form,
+as every generated one is, is kept as the same object. Records, demands and
+both graph types are immutable, and graphs hold the node capacities, links
+and entangled adjacency in tuples. The one mutable state is
 ``EntangledGraph.allocated``, a list of one flag per link id that flips in
 place when a routing path claims the link; ``EntangledGraph.copy`` gives
 each scheduler run its own flags. Since nothing that ``to_json`` writes can
@@ -21,36 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, require_finite, require_integer
 
 
-@dataclass(frozen=True, slots=True)
-class PhysicalLink:
-    """Fiber link between two distinct nodes; endpoints stored as u < v."""
+class PhysicalLink(NamedTuple):
+    """Fiber link between two distinct nodes; a network stores it with u < v."""
 
     u: int
     v: int
     distance_km: float
-
-    def __post_init__(self):
-        # The exact type test spares generated links the slower full check.
-        if not (type(self.u) is int and type(self.v) is int and type(self.distance_km) is float):
-            setattr_ = object.__setattr__
-            setattr_(self, "u", require_integer("link endpoint", self.u))
-            setattr_(self, "v", require_integer("link endpoint", self.v))
-            require_finite("link distance", self.distance_km)
-        if self.u == self.v:
-            raise InvalidParameterError(f"self-loop at node {self.u}")
-        if not 0 < self.distance_km < inf:
-            raise InvalidParameterError(
-                f"link ({self.u},{self.v}): distance must be positive and finite,"
-                f" got {self.distance_km}"
-            )
-        if self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,22 +53,33 @@ class PhysicalNetwork:
             if c < 1:
                 raise InvalidParameterError(f"node {i}: capacity must be >= 1, got {c}")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "links", tuple(self.links))
+        links = []
         seen_pairs = set()
         for link in self.links:
-            # Endpoints are stored as u < v, so these two bounds cover both.
-            if link.u < 0 or link.v >= len(nodes):
+            u, v, distance = link
+            # The exact type test spares generated links the slower full check.
+            if not (type(u) is int and type(v) is int and type(distance) is float):
+                u = require_integer("link endpoint", u)
+                v = require_integer("link endpoint", v)
+                require_finite("link distance", distance)
+            if u == v:
+                raise InvalidParameterError(f"self-loop at node {u}")
+            if not 0 < distance < inf:
                 raise InvalidParameterError(
-                    f"link ({link.u},{link.v}) references unknown node"
+                    f"link ({u},{v}): distance must be positive and finite, got {distance}"
                 )
-            pair = (link.u, link.v)
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= len(nodes):
+                raise InvalidParameterError(f"link ({u},{v}) references unknown node")
+            pair = (u, v)
             if pair in seen_pairs:
                 raise InvalidParameterError(f"duplicate physical link {pair}")
             seen_pairs.add(pair)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
+            if u is not link[0] or v is not link[1] or type(link) is not PhysicalLink:
+                link = PhysicalLink(u, v, distance)
+            links.append(link)
+        object.__setattr__(self, "links", tuple(links))
 
     def _json_members(self) -> str:
         """``"nodes":[...],"links":[...]``, the members both graphs share."""

@@ -60,10 +60,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` over a ``uint64`` array; call under ``errstate(over="ignore")``."""
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
-    return z ^ (z >> np.uint64(31))
+    """``mix64`` over a ``uint64`` array, in place; call under ``errstate(over="ignore")``."""
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, _U64_MIX_A), (27, _U64_MIX_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= factor
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def hash64(*values: int) -> int:
@@ -109,8 +112,11 @@ class RngStream:
         return RngStream(hash64(self.seed, *keys))
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
+        # mix64, inline: a Bell-pair attempt costs this one call.
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -125,11 +131,13 @@ class RngStream:
         count = require_integer("draw count", count)
         if count < 0:
             raise InvalidParameterError(f"draw count must be >= 0, got {count}")
-        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            z = _mix64_array(np.uint64(self._state) + steps * _U64_GOLDEN)
+            z *= _U64_GOLDEN
+            z += np.uint64(self._state)
+            _mix64_array(z)
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return np.right_shift(z, np.uint64(11), out=z) * 2.0**-53
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -79,6 +79,8 @@ class RoutingSchedule:
     @property
     def k(self) -> int:
         """Traffic flexibility: the fewest paths that any demand holds."""
+        if not self.paths:
+            raise InvalidParameterError("k is undefined for a schedule with no demands")
         return min(len(ps) for ps in self.paths.values())
 
     @property

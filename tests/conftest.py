@@ -26,13 +26,16 @@ def build_graph(
     if capacities is None:
         capacities = [max(1, d) for d in degree]
 
-    fibers: dict[tuple[int, int], PhysicalLink] = {}
+    distance_of: dict[tuple[int, int], float] = {}
     for u, v in edges:
         pair = (min(u, v), max(u, v))
-        if pair not in fibers:
-            fibers[pair] = PhysicalLink(u, v, distances.get(pair, 1.0))
-    net = PhysicalNetwork(tuple(capacities), tuple(fibers.values()))
-    return EntangledGraph([fibers[min(u, v), max(u, v)] for u, v in edges], net)
+        distance_of.setdefault(pair, distances.get(pair, 1.0))
+    net = PhysicalNetwork(
+        tuple(capacities), tuple(PhysicalLink(u, v, d) for (u, v), d in distance_of.items())
+    )
+    # Entangled links are the network's own records, as the generator's are.
+    link_of = dict(zip(distance_of, net.links))
+    return EntangledGraph([link_of[min(u, v), max(u, v)] for u, v in edges], net)
 
 
 @pytest.fixture

@@ -27,6 +27,28 @@ from entroute.routing import Path, RoutingSchedule, _check_endpoints
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
 
 
+def _unxorshift(y: int, shift: int) -> int:
+    """Inverse of ``x ^ (x >> shift)`` on 64-bit words."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of ``entroute.rng.mix64``: the word that mixes to ``z``.
+
+    Undoes the finalizer's steps in reverse order: each xorshift by
+    ``_unxorshift`` and each odd multiplier by its inverse mod 2**64.
+    """
+    mask = (1 << 64) - 1
+    z = _unxorshift(z & mask, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return _unxorshift(z, 30)
+
+
 def draw_int(rng, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] from one bounded ``RngStream`` draw."""
     return lo + rng.randrange(hi - lo + 1)

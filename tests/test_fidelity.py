@@ -566,6 +566,57 @@ class TestSweepMatchesScalarOracle:
         assert row_reprs(rows) == oracle_reprs(expected)
 
 
+def closed_form_fidelity(channel: str, rate: float, distance: float, speed: float) -> float:
+    """Bell fidelity after the channel on both qubits, with e = exp(-rate * d / c).
+
+    Both channels are Pauli-diagonal, so the state stays Bell-diagonal and
+    its fidelity is its weight on the Bell state: (1 + e**2) / 2 under
+    dephasing and (1 + 3 * e**2) / 4 under depolarizing.
+    """
+    e = math.exp(-rate * (distance / speed))
+    return (1.0 + e * e) / 2.0 if channel == "dephasing" else (1.0 + 3.0 * e * e) / 4.0
+
+
+class TestSweepMatchesClosedForm:
+    """Every sweep row against the closed form, independent of the engine.
+
+    The CSV text must be the same and the gap within 4e-15; the largest gap
+    seen on these grids is 2.1e-15.
+    """
+
+    @staticmethod
+    def assert_closed_form(rows, speed=200000.0):
+        assert {row.channel for row in rows} <= {"dephasing", "depolarizing"}
+        for row in rows:
+            exact = closed_form_fidelity(row.channel, row.rate_hz, row.distance_km, speed)
+            assert abs(row.fidelity - exact) <= 4e-15, row
+            assert f"{row.fidelity:.6f}" == f"{exact:.6f}", row
+
+    @pytest.mark.parametrize("grid", BENCHMARK_DISTANCE_GRIDS_KM, ids=len)
+    def test_benchmark_grids(self, grid):
+        self.assert_closed_form(fidelity_sweep(SWEEP_RATES_HZ, SWEEP_RATES_HZ, grid))
+
+    def test_fig4(self):
+        config = load_config("fig4")
+        rows = run_fidelity(config)
+        assert len(rows) == 8
+        self.assert_closed_form(rows, config.noise.propagation_speed_km_per_s)
+
+    def test_c7_grid(self):
+        rates = [10.0 ** e for e in range(0, 11)]
+        self.assert_closed_form(fidelity_sweep(rates, rates, [1.0, 2.5, 5.0, 7.5]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=3),
+        st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=3),
+        st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=12),
+        st.floats(min_value=1e-3, max_value=1e9),
+    )
+    def test_drawn_grids(self, dephasing, depolarizing, distances, speed):
+        self.assert_closed_form(fidelity_sweep(dephasing, depolarizing, distances, speed), speed)
+
+
 def test_tiny_speed_overflows_time_and_is_rejected():
     with pytest.raises(InvalidParameterError, match=r"time must be in \[0, inf\), got inf"):
         fidelity_sweep([1e6], [1e3], [1.0, 7.5], 1e-310)

@@ -16,11 +16,12 @@ from entroute.generation import (
     generate_topology,
 )
 from entroute.network import PhysicalLink, PhysicalNetwork
-from entroute.rng import RngStream
+from entroute.rng import RngStream, hash64
 from oracles import (
     generate_entanglement_scalar,
     generate_topology_scalar,
     slot_pair_counts_rescan,
+    unmix64,
 )
 
 
@@ -63,7 +64,7 @@ class TestEntanglementProbability:
 class TestGenerateTopology:
     def test_two_nodes_forces_single_link(self):
         net = generate_topology(2, 7.44, 3, RngStream(1))
-        assert net.node_count == 2
+        assert len(net.nodes) == 2
         assert len(net.links) == 1
 
     def test_hundred_nodes_connected_with_target_mean_distance(self):
@@ -88,6 +89,13 @@ class TestGenerateTopology:
     def test_capacities_at_least_one(self):
         net = generate_topology(50, 27.5, 3, RngStream(7))
         assert all(capacity >= 1 for capacity in net.nodes)
+
+    @pytest.mark.parametrize("avg_capacity", [1.0, 1.2, 1.24])
+    def test_averages_below_one_and_a_quarter_give_capacity_one(self, avg_capacity):
+        # round(2 * avg - 1) is 1 here, so the capacity range is [1, 1].
+        for seed in range(5):
+            net = generate_topology(30, 7.44, avg_capacity, RngStream(seed))
+            assert net.nodes == (1,) * 30
 
     def test_deterministic_given_seed(self):
         a = generate_topology(40, 12.87, 5.05, RngStream(3))
@@ -166,17 +174,17 @@ class TestTopologyMatchesScalarOracle:
 class TestGenerateGrid:
     def test_2x2(self):
         net = generate_grid(2, 2, 1.0, 4)
-        assert net.node_count == 4
+        assert len(net.nodes) == 4
         assert len(net.links) == 4
 
     def test_3x4(self):
         net = generate_grid(3, 4, 1.0, 4)
-        assert net.node_count == 12
+        assert len(net.nodes) == 12
         assert len(net.links) == 17  # 3*3 + 4*2
 
     def test_5x5(self):
         net = generate_grid(5, 5, 2.5, 6)
-        assert net.node_count == 25
+        assert len(net.nodes) == 25
         assert len(net.links) == 40
         assert all(l.distance_km == 2.5 for l in net.links)
         assert net.nodes == (6,) * 25
@@ -184,7 +192,7 @@ class TestGenerateGrid:
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=8))
     def test_structure_formula(self, rows, cols):
         net = generate_grid(rows, cols, 1.0, 4)
-        assert net.node_count == rows * cols
+        assert len(net.nodes) == rows * cols
         assert len(net.links) == rows * (cols - 1) + cols * (rows - 1)
 
     def test_rejects_degenerate(self):
@@ -364,3 +372,29 @@ class TestEntanglementMatchesScalarOracle:
                 calls = 0
                 generate_entanglement(net, alpha, RngStream(5))
                 assert calls == sum(generation._slot_pair_counts(net))
+
+
+def _rng_whose_first_link_draws(word: int) -> RngStream:
+    """A stream whose link 0, in generate_entanglement, draws ``word`` first.
+
+    Link 0's stream has seed hash64(seed, 0) = mix64(mix64(G + seed) + G),
+    G the golden step, and its first word is mix64(link seed + G).
+    """
+    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    link_seed = (unmix64(word) - golden) & mask
+    seed = (unmix64((unmix64(link_seed) - golden) & mask) - golden) & mask
+    assert hash64(seed, 0) == link_seed
+    assert RngStream(link_seed).next_u64() == word
+    return RngStream(seed)
+
+
+@pytest.mark.parametrize(
+    "word, pairs", [(2**63 - 2**11, 1), (2**63, 0)], ids=["just_below_p", "equal_to_p"]
+)
+def test_a_draw_equal_to_the_success_probability_fails(word, pairs):
+    # exp(-1.0 * ln 2) is 0.5 exactly, and the word 2**63 draws 0.5: an
+    # attempt succeeds when random() < p, so that draw is a failure.
+    net = PhysicalNetwork((1, 1), (PhysicalLink(0, 1, math.log(2)),))
+    assert entanglement_probability(math.log(2), 1.0) == 0.5
+    graph = generate_entanglement(net, 1.0, _rng_whose_first_link_draws(word))
+    assert len(graph.links) == pairs

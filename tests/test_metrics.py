@@ -47,6 +47,14 @@ class TestComputeK:
         )
         assert schedule.k == 4
 
+    def test_no_demands_rejected(self):
+        # A min over no demands is undefined; the schedulers never build one.
+        with pytest.raises(InvalidParameterError, match="no demands"):
+            RoutingSchedule({}).k
+        net = PhysicalNetwork((5, 5), (PhysicalLink(0, 1, 1.0),))
+        with pytest.raises(InvalidParameterError, match="no demands"):
+            compute_metrics(RoutingSchedule({}), net)
+
 
 class TestAvgHopCount:
     def test_empty(self):

@@ -39,42 +39,75 @@ def test_node_capacity_accepts_numpy_integers():
     assert net.to_json() == graph_to_json_reference(net)
 
 
+def _network_of(*links):
+    """The network checks and canonicalizes its links; six nodes of capacity 1."""
+    return PhysicalNetwork((1,) * 6, links)
+
+
 def test_link_normalizes_endpoints():
-    link = PhysicalLink(5, 2, 1.0)
-    assert (link.u, link.v) == (2, 5)
+    reversed_link = PhysicalLink(5, 2, 1.0)
+    net = _network_of(reversed_link)
+    assert net.links[0] == (2, 5, 1.0)
+    assert type(net.links[0]) is PhysicalLink
+    assert reversed_link == (5, 2, 1.0)
+    assert net.to_json() == graph_to_json_reference(net)
 
 
 def test_link_rejects_self_loop_and_bad_distance():
-    with pytest.raises(InvalidParameterError):
-        PhysicalLink(1, 1, 1.0)
-    with pytest.raises(InvalidParameterError):
-        PhysicalLink(0, 1, 0.0)
+    with pytest.raises(InvalidParameterError, match="self-loop at node 1"):
+        _network_of(PhysicalLink(1, 1, 1.0))
+    with pytest.raises(InvalidParameterError, match=r"link \(0,1\): distance"):
+        _network_of(PhysicalLink(0, 1, 0.0))
 
 
 @pytest.mark.parametrize("distance", [0.0, -3.0, math.nan, math.inf, -math.inf])
 def test_link_rejects_non_finite_or_non_positive_distance(distance):
     with pytest.raises(InvalidParameterError, match="positive and finite"):
-        PhysicalLink(0, 1, distance)
+        _network_of(PhysicalLink(0, 1, 1.0), PhysicalLink(0, 2, distance))
 
 
 @pytest.mark.parametrize(
     "u, v", [(0.5, 1), (0, 1.0), (True, 2), (0, "1"), (None, 1)]
 )
 def test_link_rejects_non_integer_endpoints(u, v):
-    with pytest.raises(InvalidParameterError, match="must be an integer"):
-        PhysicalLink(u, v, 1.0)
+    with pytest.raises(InvalidParameterError, match="link endpoint must be an integer"):
+        _network_of(PhysicalLink(u, v, 1.0))
 
 
 @pytest.mark.parametrize("distance", ["1", None, True, np.float64(math.nan)])
 def test_link_rejects_non_numeric_distance(distance):
     with pytest.raises(InvalidParameterError, match="link distance must be"):
-        PhysicalLink(0, 1, distance)
+        _network_of(PhysicalLink(0, 1, distance))
 
 
 def test_link_accepts_numpy_endpoints_and_integer_distance():
-    link = PhysicalLink(np.int64(3), np.int32(1), 2)
+    net = _network_of(PhysicalLink(np.int64(3), np.int32(1), 2))
+    link = net.links[0]
     assert (link.u, link.v, link.distance_km) == (1, 3, 2)
+    assert type(link) is PhysicalLink
     assert type(link.u) is int and type(link.v) is int
+    assert net.to_json() == graph_to_json_reference(net)
+
+
+def test_canonical_links_are_stored_as_they_are():
+    # Every generated link is canonical, so EntangledGraph's identity check
+    # finds the generator's own records in the network.
+    canonical = (PhysicalLink(0, 1, 1.0), PhysicalLink(2, 5, 3), PhysicalLink(1, 4, np.float64(2.5)))
+    net = _network_of(*canonical, PhysicalLink(np.int64(0), 3, 1.0), PhysicalLink(5, 1, 1.0))
+    assert all(stored is link for stored, link in zip(net.links, canonical))
+    assert net.links[3:] == ((0, 3, 1.0), (1, 5, 1.0))
+    graph = EntangledGraph([net.links[4], net.links[1], net.links[3]], net)
+    assert graph.to_json() == graph_to_json_reference(graph)
+    with pytest.raises(InvalidParameterError, match="not a link of the physical"):
+        EntangledGraph([PhysicalLink(5, 1, 1.0)], net)
+
+
+def test_link_checks_run_in_link_order():
+    # Each link passes every check before the next is looked at.
+    with pytest.raises(InvalidParameterError, match="references unknown node"):
+        _network_of(PhysicalLink(0, 6, 1.0), PhysicalLink(1, 1, 1.0))
+    with pytest.raises(InvalidParameterError, match=r"duplicate physical link \(1, 2\)"):
+        _network_of(PhysicalLink(1, 2, 1.0), PhysicalLink(2, 1, 1.0), PhysicalLink(3, 3, 1.0))
 
 
 def test_network_rejects_duplicate_pair():

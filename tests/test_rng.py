@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError, require_integer
 from entroute.rng import RngStream, hash64, hash64_range, mix64
+from oracles import unmix64
 
 
 def test_known_first_outputs():
@@ -50,6 +51,39 @@ def test_random_in_unit_interval():
 def test_randrange_bounds(seed, n):
     s = RngStream(seed)
     assert 0 <= s.randrange(n) < n
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_unmix64_inverts_mix64(word):
+    assert mix64(unmix64(word)) == word
+    assert unmix64(mix64(word)) == word
+
+
+def _stream_whose_next_word_is(word: int) -> RngStream:
+    # next_u64 adds the golden step to the state and mixes the sum.
+    return RngStream((unmix64(word) - 0x9E3779B97F4A7C15) & (2**64 - 1))
+
+
+@pytest.mark.parametrize("word", [0, 1, 2**63, 2**64 - 2, 2**64 - 1])
+def test_next_u64_is_mix64_of_the_stepped_state(word):
+    stream = _stream_whose_next_word_is(word)
+    assert stream.next_u64() == word
+    assert stream.random() == (mix64(unmix64(word) + 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+
+
+def test_randrange_rejects_a_word_at_its_threshold():
+    # 2**64 % 3 == 1, so randrange(3) rejects the top word 2**64 - 1 and
+    # returns the following word mod 3, two draws on.
+    stream = _stream_whose_next_word_is(2**64 - 1)
+    follower = RngStream(stream.seed)
+    follower.next_u64()
+    expected = follower.next_u64() % 3
+    assert stream.randrange(3) == expected
+    assert stream._state == follower._state
+    # A word below the threshold is taken as it is.
+    stream = _stream_whose_next_word_is(2**64 - 2)
+    assert stream.randrange(3) == (2**64 - 2) % 3
+    assert stream._state == (stream.seed + 0x9E3779B97F4A7C15) & (2**64 - 1)
 
 
 def test_randrange_rejects_nonpositive():

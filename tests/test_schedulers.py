@@ -152,7 +152,7 @@ class TestMcsa:
         for seed in range(5):
             net = generate_topology(25, 7.44, 8, RngStream(seed))
             g = generate_entanglement(net, 0.01, RngStream(seed + 50))
-            d = Demand(0, 0, net.node_count - 1)
+            d = Demand(0, 0, len(net.nodes) - 1)
             flex = st_min_cut(g, d.src, d.dst).flexibility
             cap = min(net.nodes[d.src], net.nodes[d.dst])
             schedule = mcsa_schedule(g, (d,))
@@ -276,7 +276,7 @@ def _grid_instances():
         rng = RngStream(rows * 100 + cols)
         net = generate_grid(rows, cols, 1.0, 4)
         g = generate_entanglement(net, 0.0, rng.substream(0))
-        n = net.node_count
+        n = len(net.nodes)
         demands = list(_sample_demands(n, 4, rng.substream(1)))
         _isolate(g, n - 1)
         demands.append(Demand(4, n - 1, 0))
