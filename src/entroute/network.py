@@ -56,7 +56,10 @@ class PhysicalNetwork:
         links = []
         seen_pairs = set()
         for link in self.links:
-            u, v, distance = link
+            try:
+                u, v, distance = link
+            except (TypeError, ValueError):  # links holds every earlier entry
+                raise InvalidParameterError(f"link {len(links)} is not (u, v, distance): {link!r}") from None
             # The exact type test spares generated links the slower full check.
             if not (type(u) is int and type(v) is int and type(distance) is float):
                 u = require_integer("link endpoint", u)

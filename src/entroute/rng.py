@@ -11,14 +11,14 @@ internals that are free to change between versions.  The core is SplitMix64:
     output <- z XOR (z >> 31)
 
 Floats are built from the top 53 bits of an output word, so every derived
-draw (uniform, bounded int, shuffle) is an exact function of the seed.
+draw (uniform, bounded int, sample) is an exact function of the seed.
 
 Because the state only ever advances by the golden-ratio step, the i-th
 output after a state s (i = 1, 2, ...) is ``mix64((s + i * 0x9E3779B97F4A7C15)
-mod 2^64)``, independent of every other draw.  ``RngStream.random_array``
-evaluates that formula for a whole block at once in NumPy ``uint64``
-arithmetic (multiplies wrap mod 2^64) and returns ``(z >> 11) * 2^-53``, the
-same floats that as many ``random()`` calls return, bit for bit.
+mod 2^64)``, independent of every other draw.  ``RngStream._next_block``
+evaluates it for a block in NumPy ``uint64`` arithmetic (multiplies wrap mod
+2^64); ``random_array`` returns ``(z >> 11) * 2^-53``, bit for bit the floats
+of ``random()``, and ``words`` the words of ``next_u64()``, 256 at a time.
 
 Derived seeds use ``hash64``: starting from ``acc = 0``, each value ``v`` is
 absorbed as ``acc = mix64((acc + 0x9E3779B97F4A7C15 + v) mod 2^64)`` where
@@ -34,6 +34,9 @@ raises ``InvalidParameterError`` instead of being truncated or parsed.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -131,13 +134,22 @@ class RngStream:
         count = require_integer("draw count", count)
         if count < 0:
             raise InvalidParameterError(f"draw count must be >= 0, got {count}")
+        z = self._next_block(count)
+        return np.right_shift(z, np.uint64(11), out=z) * 2.0**-53
+
+    def _next_block(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``next_u64()`` as a ``uint64`` array."""
         z = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             z *= _U64_GOLDEN
             z += np.uint64(self._state)
             _mix64_array(z)
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        return np.right_shift(z, np.uint64(11), out=z) * 2.0**-53
+        return z
+
+    def words(self) -> Iterator[int]:
+        """Endless ``next_u64()`` words; the state moves a 256-word block at a time."""
+        return chain.from_iterable(iter(lambda: self._next_block(256).tolist(), None))
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
@@ -152,12 +164,6 @@ class RngStream:
             draw = self.next_u64()
             if draw < threshold:
                 return draw % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def sample(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), order randomized."""

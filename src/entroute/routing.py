@@ -19,7 +19,7 @@ Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
     sequence, and toward the smallest link id among parallel edges;
   * equal path flexibilities resolve to the smallest demand id;
-  * the randomized scheduler draws from substreams keyed by demand id.
+  * the randomized scheduler reads words from substreams keyed by demand id.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, InvariantViolationError, require_integer
@@ -36,6 +37,7 @@ from .network import Demand, EntangledGraph
 from .rng import RngStream
 
 _FLOAT_MIN = sys.float_info.min
+_HIGH_WORDS = 2**64 - 2**32  # below every word that randrange(n <= 2**32) rejects
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,15 +368,11 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
         raise InvalidParameterError(
             f"rng must be an RngStream, got {type(rng).__name__}"
         )
-    demand_rngs: dict[int, RngStream] = {}
-
-    def find_random(work: EntangledGraph, d: Demand) -> Path | None:
-        sub = demand_rngs.get(d.id)
-        if sub is None:
-            sub = demand_rngs[d.id] = rng.substream(d.id)
-        return _random_simple_path(work, d.src, d.dst, sub)
-
-    return _fcfs_schedule(g, demands, find_random)
+    demands = _validate_demands(g, demands)
+    words = {d.id: rng.substream(d.id).words().__next__ for d in demands}
+    return _fcfs_schedule(
+        g, demands, lambda work, d: _random_simple_path(work, d.src, d.dst, words[d.id])
+    )
 
 
 def dmpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
@@ -444,15 +442,16 @@ def mcsa_schedule(
 
 
 def _random_simple_path(
-    g: EntangledGraph, src: int, dst: int, rng: RngStream
+    g: EntangledGraph, src: int, dst: int, next_word: Callable[[], int]
 ) -> Path | None:
     """Depth-first search with per-node shuffled neighbor order.
 
-    Returns the DFS tree path to dst, which is simple by construction and an
-    exact function of the stream state. When src or dst has no free link
-    the search fails at once, without the draws a full DFS would take; the
-    scheduler drops a demand for good after its first failure, so nothing
-    reads that demand's stream again.
+    Fisher-Yates draws each swap position as ``RngStream.randrange`` would,
+    from the words ``next_word()`` returns. Returns the DFS tree path to dst,
+    which is simple by construction and an exact function of the words. When
+    src or dst has no free link the search fails at once, without the draws
+    a full DFS would take; the scheduler drops a demand for good after its
+    first failure, so nothing reads that demand's words again.
     """
     src, dst = _check_endpoints(g, src, dst)
     if not (_has_free_link(g, src) and _has_free_link(g, dst)):
@@ -470,7 +469,14 @@ def _random_simple_path(
             for y, lid in adjacency[x]
             if y not in parents and not allocated[lid]
         ]
-        rng.shuffle(candidates)
+        if len(candidates) > 1:
+            for i in range(len(candidates) - 1, 0, -1):
+                word = next_word()
+                if word >= _HIGH_WORDS:
+                    while word >= 2**64 - 2**64 % (i + 1):
+                        word = next_word()
+                j = word % (i + 1)
+                candidates[i], candidates[j] = candidates[j], candidates[i]
         for y, lid in candidates:
             if y not in parents:
                 parents[y] = (x, lid)

@@ -75,6 +75,24 @@ MUTANTS = [
         "if (next_u64() >> 11) * 2.0**-53 <= p_success:",
         ["tests/test_generation.py::test_a_draw_equal_to_the_success_probability_fails"],
     ),
+    (
+        "routing.py",
+        "while word >= 2**64 - 2**64 % (i + 1):",
+        "while False:",
+        [
+            "tests/test_schedulers.py::TestFcfsBaselinesAgainstReference"
+            "::test_random_search_rejects_a_word_at_its_threshold"
+        ],
+    ),
+    (
+        "rng.py",
+        "self._state = (self._state + count * _GOLDEN) & _MASK64",
+        "self._state = (self._state + (count + 1) * _GOLDEN) & _MASK64",
+        [
+            "tests/test_rng.py::test_words_equal_next_u64",
+            "tests/test_schedulers.py::TestFcfsBaselinesAgainstReference::test_rmpsa",
+        ],
+    ),
 ]
 
 EQUIVALENT = [

@@ -497,14 +497,22 @@ def min_distance_path_reference(
     return Path(tuple(nodes), tuple(edges))
 
 
+def shuffle(rng, items: list) -> None:
+    """In-place Fisher-Yates shuffle, one ``rng.randrange`` per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def random_simple_path_reference(
     g: EntangledGraph, src: int, dst: int, rng
 ) -> Path | None:
     """Full-DFS reference for ``entroute.routing._random_simple_path``.
 
-    Depth-first search with a shuffled list of free neighbors per popped
-    node, run to the end even when src or dst has no free link, so every
-    search takes the draws its DFS order asks for.
+    Depth-first search with a list of free neighbors per popped node,
+    shuffled by ``shuffle`` from the ``RngStream`` ``rng``. It runs to the
+    end even when src or dst has no free link, so every search takes the
+    draws its DFS order asks for.
     """
     _check_endpoints(g, src, dst)
     allocated = g.allocated
@@ -519,7 +527,7 @@ def random_simple_path_reference(
             for y, lid in g.adjacency[x]
             if y not in parents and not allocated[lid]
         ]
-        rng.shuffle(candidates)
+        shuffle(rng, candidates)
         for y, lid in candidates:
             if y not in parents:
                 parents[y] = (x, lid)

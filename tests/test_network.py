@@ -110,6 +110,15 @@ def test_link_checks_run_in_link_order():
         _network_of(PhysicalLink(1, 2, 1.0), PhysicalLink(2, 1, 1.0), PhysicalLink(3, 3, 1.0))
 
 
+@pytest.mark.parametrize("entry", [(0, 1), 5, (0, 1, 1.0, 2), None])
+def test_network_rejects_a_link_that_is_not_a_triple(entry):
+    with pytest.raises(InvalidParameterError, match=r"^link 0 is not \(u, v, distance\)"):
+        PhysicalNetwork((1, 1), (entry,))
+    # The message names the entry's index.
+    with pytest.raises(InvalidParameterError, match=r"^link 1 is not"):
+        PhysicalNetwork((1, 1, 1), (PhysicalLink(0, 1, 1.0), entry))
+
+
 def test_network_rejects_duplicate_pair():
     nodes = (1, 1)
     with pytest.raises(InvalidParameterError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError, require_integer
 from entroute.rng import RngStream, hash64, hash64_range, mix64
-from oracles import unmix64
+from oracles import shuffle, unmix64
 
 
 def test_known_first_outputs():
@@ -94,10 +94,23 @@ def test_randrange_rejects_nonpositive():
 def test_shuffle_is_permutation_and_deterministic():
     items = list(range(20))
     a, b = items[:], items[:]
-    RngStream(5).shuffle(a)
-    RngStream(5).shuffle(b)
+    shuffle(RngStream(5), a)
+    shuffle(RngStream(5), b)
     assert a == b
     assert sorted(a) == items
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_words_equal_next_u64(count, seed):
+    # 257 and 600 words cross one and two block refills.
+    stream = RngStream(seed)
+    words = stream.words()
+    reference = RngStream(seed)
+    assert [next(words) for _ in range(count)] == [reference.next_u64() for _ in range(count)]
+    # The state runs ahead to the end of the last block fetched.
+    blocks = -(-count // 256)
+    assert stream._state == (seed + 256 * blocks * 0x9E3779B97F4A7C15) % 2**64
 
 
 def test_sample_distinct():

@@ -358,7 +358,9 @@ def test_flexibility_matches_networkx(node_count):
 _SEARCHES = {
     "shortest": shortest_entangled_path,
     "min_distance": routing._min_distance_path,
-    "random": lambda g, src, dst: routing._random_simple_path(g, src, dst, RngStream(0)),
+    "random": lambda g, src, dst: routing._random_simple_path(
+        g, src, dst, RngStream(0).words().__next__
+    ),
     "min_cut": st_min_cut,
 }
 

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,9 @@ from oracles import (
     max_edge_disjoint_paths_bruteforce,
     max_min_disjoint_paths_milp,
     min_total_distance_bruteforce,
+    random_simple_path_reference,
     rmpsa_schedule_reference,
+    unmix64,
     validate_schedule,
 )
 
@@ -283,6 +286,22 @@ def _grid_instances():
         yield g, tuple(demands), rng.substream(2)
 
 
+def _dense_instances():
+    """Small graphs with many parallel Bell pairs, so one shuffle can be long.
+
+    Each has a demand to a node whose links were all allocated beforehand.
+    """
+    for case in range(3):
+        rng = RngStream(7000).substream(case)
+        net = generate_topology(12, 7.44, 40.0, rng.substream(0))
+        g = generate_entanglement(net, 0.0, rng.substream(1))
+        demands = list(_sample_demands(12, 3, rng.substream(2)))
+        lonely = rng.randrange(12)
+        _isolate(g, lonely)
+        demands.append(Demand(3, (lonely + 1) % 12, lonely))
+        yield g, tuple(demands), rng.substream(3)
+
+
 class TestFcfsBaselinesAgainstReference:
     """RMPSA and DMPSA against FCFS driven by the full-search references.
 
@@ -291,25 +310,51 @@ class TestFcfsBaselinesAgainstReference:
     """
 
     @staticmethod
-    def _count_isolated_endpoints(monkeypatch) -> list[int]:
-        hits = [0]
+    def _count_searches(monkeypatch) -> tuple[list[int], Counter]:
+        """Count searches with an isolated endpoint, and words read per word source."""
+        hits, words = [0], Counter()
         search = routing._random_simple_path
 
-        def counting(g, src, dst, rng):
+        def counting(g, src, dst, next_word):
             hits[0] += not (routing._has_free_link(g, src) and routing._has_free_link(g, dst))
-            return search(g, src, dst, rng)
+
+            def counted_word():
+                words[next_word] += 1
+                return next_word()
+
+            return search(g, src, dst, counted_word)
 
         monkeypatch.setattr(routing, "_random_simple_path", counting)
-        return hits
+        return hits, words
 
-    @pytest.mark.parametrize("instances", [_fig5c_like_instances, _grid_instances])
+    @pytest.mark.parametrize(
+        "instances", [_fig5c_like_instances, _grid_instances, _dense_instances]
+    )
     def test_rmpsa(self, instances, monkeypatch):
-        hits = self._count_isolated_endpoints(monkeypatch)
+        hits, words = self._count_searches(monkeypatch)
         for g, demands, rng in instances():
             seed = rng.next_u64()
             assert rmpsa_schedule(g, demands, RngStream(seed)).to_json() == (
                 rmpsa_schedule_reference(g, demands, RngStream(seed)).to_json())
         assert hits[0] > 0
+        if instances is not _grid_instances:
+            # Some demand reads past its first block of 256 words.
+            assert max(words.values()) > 256
+
+    def test_random_search_rejects_a_word_at_its_threshold(self):
+        # 2**64 % 3 == 1, so the word 2**64 - 1 is redrawn at node 0's three
+        # candidates. Which of 1, 2 and 3 leads to 4 follows the draws.
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        seed = (unmix64(2**64 - 1) - 0x9E3779B97F4A7C15) % 2**64
+        next_word = RngStream(seed).words().__next__
+        assert next_word() == 2**64 - 1
+        next_word = RngStream(seed).words().__next__
+        reference = RngStream(seed)
+        path = routing._random_simple_path(g, 0, 4, next_word)
+        assert path == random_simple_path_reference(g, 0, 4, reference)
+        # Both took the same three words: the rejected one and two more.
+        assert reference._state == (seed + 3 * 0x9E3779B97F4A7C15) % 2**64
+        assert next_word() == reference.next_u64()
 
     @pytest.mark.parametrize("instances", [_fig5c_like_instances, _grid_instances])
     def test_dmpsa(self, instances):
