@@ -79,7 +79,7 @@ class PhysicalNetwork:
             if pair in seen_pairs:
                 raise InvalidParameterError(f"duplicate physical link {pair}")
             seen_pairs.add(pair)
-            if u is not link[0] or v is not link[1] or type(link) is not PhysicalLink:
+            if type(link) is not PhysicalLink or u is not link[0] or v is not link[1]:
                 link = PhysicalLink(u, v, distance)
             links.append(link)
         object.__setattr__(self, "links", tuple(links))

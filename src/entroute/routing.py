@@ -13,7 +13,10 @@ demand source's distances over all links, a lower bound that holds while
 links are only ever claimed (Goldberg and Harrelson's landmark bounds, 2005),
 and it labels only as far as the descent from src needs. Both return exactly
 the path that labeling the whole component would give. The minimum-distance
-and random searches fail at once when src or dst has no free link left.
+and random searches fail at once when src or dst has no free link left. The
+min cut's flow stops at the first augmenting search that fails, or once it
+fills the free links at src or dst; MCSA resumes each demand's flow from its
+last ranking once the units on links claimed since are cancelled.
 
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
@@ -255,22 +258,36 @@ def _grow_layer(
     return grown, None
 
 
-def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
+def st_min_cut(
+    g: EntangledGraph, src: int, dst: int, *, flow: list[int] | None = None
+) -> CutResult:
     """Size of the minimum s-t cut of the unallocated multigraph.
 
     A maximum flow on unit capacities, grown one augmenting path at a time;
     by Menger's theorem its value equals the cut size and the maximum number
     of edge-disjoint s-t paths. Each augmenting path comes from a
     bidirectional BFS over the residual graph that expands the smaller
-    frontier by one layer per step, and the first search that fails ends
-    the flow. Only the value is computed; which links form the cut is left
-    out, since no scheduler reads it.
+    frontier by one layer per step. The flow ends at the first search that
+    fails, or once it fills the free links at src or at dst, which bound the
+    cut from above. Only the value is computed; which links form the cut is
+    left out, since no scheduler reads it.
+
+    ``flow``, a list of one net flow per link id, is augmented in place, and
+    its value is read from src's links. It must be a flow that this function
+    left on ``g`` for the same src and dst, with every unit on a link claimed
+    since then removed by ``_cancel_unit``; augmenting from any valid flow
+    reaches the same maximum value. None starts from the zero flow.
     """
     src, dst = _check_endpoints(g, src, dst)
-    # Net flow per link, oriented from link.u to link.v.
-    flow = [0] * len(g.links)
-    value = 0
-    while True:
+    adjacency, allocated = g.adjacency, g.allocated
+    if flow is None:
+        flow = [0] * len(g.links)
+    elif type(flow) is not list or len(flow) != len(g.links):
+        raise InvalidParameterError(f"flow must be None or a list of {len(g.links)} net flows")
+    # Net flow per link, oriented from link.u to link.v; none enters src.
+    value = sum([flow[lid] if src < y else -flow[lid] for y, lid in adjacency[src]])
+    bound = min([sum([not allocated[lid] for _, lid in adjacency[x]]) for x in (src, dst)])
+    while value < bound:
         fwd: dict[int, tuple[int, int] | None] = {src: None}
         bwd: dict[int, tuple[int, int] | None] = {dst: None}
         ffront, bfront = [src], [dst]
@@ -281,7 +298,7 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
             else:
                 bfront, meet = _grow_layer(g, flow, bfront, bwd, fwd, -1)
         if meet is None:
-            return CutResult(value)
+            break
         # Push one unit along src ~> x -> y ~> dst.
         x, y, lid = meet
         flow[lid] += 1 if x < y else -1
@@ -294,6 +311,35 @@ def st_min_cut(g: EntangledGraph, src: int, dst: int) -> CutResult:
             flow[nlid] += 1 if y < ny else -1
             y = ny
         value += 1
+    return CutResult(value)
+
+
+def _cancel_unit(g: EntangledGraph, flow: list[int], lid: int) -> None:
+    """Remove from ``flow`` the unit that crosses link ``lid``.
+
+    The unit is followed forward from the link's head to dst and backward
+    from its tail to src, and each link it passes is zeroed; augmenting
+    paths never enter src or leave dst, so the walks end there, where no
+    unit goes on. A unit on a circulation comes back to the tail and ends
+    the forward walk, and the flow value stays the same.
+    """
+    link = g.links[lid]
+    tail, head = (link.u, link.v) if flow[lid] > 0 else (link.v, link.u)
+    flow[lid] = 0
+    adjacency = g.adjacency
+    for x, sign in ((head, 1), (tail, -1)):
+        while True:
+            # The same orientation test as _grow_layer's, for arcs that carry a unit.
+            for y, l in adjacency[x]:
+                f = flow[l] * sign
+                if f > 0 if x < y else f < 0:
+                    break
+            else:
+                break
+            flow[l] = 0
+            if sign > 0 and y == tail:
+                return
+            x = y
 
 
 def allocate_path(
@@ -404,6 +450,9 @@ def mcsa_schedule(
     one path per round keeps the bottleneck links of the most constrained
     demands from going to paths that cannot raise k; the paper text held
     here does not fix the per-round budget, and one path is the choice made.
+    Each demand's flow is kept from one ranking to the next: the units on
+    the links a round claimed are cancelled, and ``st_min_cut`` augments
+    the rest to the value a fresh flow would reach.
 
     ``per_demand_cap``, an integer >= 1, overrides the capacity-derived
     budget; the grid check uses it to probe 1-path-per-demand schedules.
@@ -425,15 +474,25 @@ def mcsa_schedule(
         for d in demands
     }
     active = [d for d in demands if budgets[d.id] > 0]
+    # Each demand's flow of its last ranking, and the links claimed since.
+    flows = {d.id: [0] * len(work.links) for d in active}
+    claimed: list[int] = []
     while active:
         if len(active) > 1:
-            active.sort(key=lambda d: (st_min_cut(work, d.src, d.dst).flexibility, d.id))
+            for d in active:
+                flow = flows[d.id]
+                for lid in claimed:
+                    if flow[lid]:
+                        _cancel_unit(work, flow, lid)
+            active.sort(key=lambda d: (st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, d.id))
+        claimed = []
         served = []
         for d in active:
             p = shortest_entangled_path(work, d.src, d.dst)
             if p is None:
                 continue
             allocate_path(schedule, work, d.id, p)
+            claimed += p.edges
             budgets[d.id] -= 1
             if budgets[d.id] > 0:
                 served.append(d)

@@ -41,9 +41,33 @@ MUTANTS = [
     ),
     (
         "routing.py",
-        "(st_min_cut(work, d.src, d.dst).flexibility, d.id)",
-        "(st_min_cut(work, d.src, d.dst).flexibility, -d.id)",
+        "(st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, d.id)",
+        "(st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, -d.id)",
         ["tests/test_golden.py"],
+    ),
+    (
+        "routing.py",
+        "if flow[lid]:",
+        "if False:",
+        ["tests/test_schedulers.py::TestMcsaAgainstReference"],
+    ),
+    (
+        "routing.py",
+        "while value < bound:",
+        "while value < bound - 1:",
+        [
+            "tests/test_routing.py::test_menger_equivalence_small_graphs",
+            "tests/test_routing.py::test_flexibility_matches_networkx",
+        ],
+    ),
+    (
+        "routing.py",
+        "if sign > 0 and y == tail:",
+        "if False:",
+        [
+            "tests/test_routing.py::TestStMinCutWarmFlow"
+            "::test_circulation_through_the_claimed_link_keeps_its_value"
+        ],
     ),
     (
         "network.py",
@@ -65,7 +89,7 @@ MUTANTS = [
     ),
     (
         "network.py",
-        "if u is not link[0] or v is not link[1] or type(link) is not PhysicalLink:",
+        "if type(link) is not PhysicalLink or u is not link[0] or v is not link[1]:",
         "if True:",
         ["tests/test_network.py"],
     ),

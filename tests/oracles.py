@@ -587,6 +587,43 @@ def dmpsa_schedule_reference(g: EntangledGraph, demands) -> RoutingSchedule:
     )
 
 
+def mcsa_schedule_reference(
+    g: EntangledGraph, demands, per_demand_cap: int | None = None
+) -> RoutingSchedule:
+    """MCSA that ranks every round by ``st_min_cut_reference`` from scratch.
+
+    The rounds of ``entroute.routing.mcsa_schedule``: while more than one
+    demand is still served they are ranked by (min-cut value, id), then
+    each takes one path from ``shortest_entangled_path_reference`` in that
+    order. A demand leaves when it finds no path or has spent its budget,
+    ``per_demand_cap`` or else min(C_src, C_dst).
+    """
+    work = g.copy()
+    capacities = work.physical.nodes
+    budgets = {
+        d.id: per_demand_cap or min(capacities[d.src], capacities[d.dst]) for d in demands
+    }
+    paths: dict[int, list[Path]] = {d.id: [] for d in demands}
+    active = list(demands)
+    while active:
+        if len(active) > 1:
+            active.sort(key=lambda d: (st_min_cut_reference(work, d.src, d.dst)[1], d.id))
+        served = []
+        for d in active:
+            p = shortest_entangled_path_reference(work, d.src, d.dst)
+            if p is None:
+                continue
+            for lid in p.edges:
+                assert not work.allocated[lid], f"link {lid} claimed twice"
+                work.allocated[lid] = True
+            paths[d.id].append(p)
+            budgets[d.id] -= 1
+            if budgets[d.id] > 0:
+                served.append(d)
+        active = served
+    return RoutingSchedule(paths)
+
+
 # --- fidelity ---------------------------------------------------------------
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -119,6 +119,15 @@ def test_network_rejects_a_link_that_is_not_a_triple(entry):
         PhysicalNetwork((1, 1, 1), (PhysicalLink(0, 1, 1.0), entry))
 
 
+def test_network_stores_a_link_given_as_a_one_shot_iterator():
+    # The entry is unpacked once and never indexed.
+    net = PhysicalNetwork((1, 1), [iter((0, 1, 1.0))])
+    assert net.links == (PhysicalLink(0, 1, 1.0),)
+    assert type(net.links[0]) is PhysicalLink
+    net = PhysicalNetwork((1, 1), [iter((1, np.int64(0), 2))])
+    assert net.links == ((0, 1, 2),) and type(net.links[0].u) is int
+
+
 def test_network_rejects_duplicate_pair():
     nodes = (1, 1)
     with pytest.raises(InvalidParameterError):

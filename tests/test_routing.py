@@ -355,6 +355,94 @@ def test_flexibility_matches_networkx(node_count):
             ), (case, src, dst)
 
 
+def _assert_valid_flow(g: EntangledGraph, flow: list[int], src: int, dst: int) -> int:
+    """Check ``flow`` as an s-t flow over free links and return its value.
+
+    Every link carries a net unit or none, every claimed link none; flow is
+    conserved at every node but src and dst, and none enters src.
+    """
+    surplus = [0] * g.node_count
+    for lid, (link, f) in enumerate(zip(g.links, flow)):
+        assert f in (-1, 0, 1), (lid, f)
+        assert not (f and g.allocated[lid]), f"claimed link {lid} carries flow"
+        surplus[link.u] += f
+        surplus[link.v] -= f
+    assert all(flow[lid] * (1 if src < y else -1) >= 0 for y, lid in g.adjacency[src])
+    assert surplus[src] == -surplus[dst] >= 0
+    assert not any(surplus[x] for x in range(g.node_count) if x not in (src, dst))
+    return surplus[src]
+
+
+class TestStMinCutWarmFlow:
+    """Augmenting a repaired flow reaches the value of a cold call."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _generated_graph(50, 31, 0.0),
+        lambda: _generated_graph(250, 32, 0.2),
+        lambda: generate_entanglement(generate_grid(5, 6, 1.0, 4), 0.0, RngStream(33)),
+    ])
+    def test_repair_after_random_claims(self, make):
+        g = make()
+        rng = RngStream(len(g.links))
+        cancelled = 0
+        for src, dst in _endpoint_pairs(g, rng, 12):
+            h = g.copy()
+            flow = [0] * len(h.links)
+            value = st_min_cut(h, src, dst, flow=flow).flexibility
+            assert _assert_valid_flow(h, flow, src, dst) == value
+            for _ in range(4):
+                free = [lid for lid, taken in enumerate(h.allocated) if not taken]
+                claimed = [free[i] for i in rng.sample(len(free), len(free) // 8)]
+                for lid in claimed:
+                    h.allocated[lid] = True
+                for lid in claimed:
+                    if flow[lid]:
+                        routing._cancel_unit(h, flow, lid)
+                        cancelled += 1
+                assert _assert_valid_flow(h, flow, src, dst) <= value
+                warm = st_min_cut(h, src, dst, flow=flow).flexibility
+                assert warm == st_min_cut(h, src, dst).flexibility, (src, dst)
+                _assert_matches_reference(h, src, dst, warm)
+                value = _assert_valid_flow(h, flow, src, dst)
+                assert value == warm
+        assert cancelled > 0
+
+    def test_circulation_through_the_claimed_link_keeps_its_value(self):
+        # One unit runs 0 -> 2 -> 3, and a circulation 2 -> 4 -> 1 -> 2
+        # passes link 2 (2-4), which a path then claims. The walk from 4
+        # ends back at 2 and leaves the unit through 2 alone.
+        g = build_graph(5, [(0, 2), (2, 3), (2, 4), (1, 4), (1, 2)])
+        flow = [1, 1, 1, -1, 1]
+        assert _assert_valid_flow(g, flow, 0, 3) == 1
+        g.allocated[2] = True
+        routing._cancel_unit(g, flow, 2)
+        assert flow == [1, 1, 0, 0, 0]
+        assert st_min_cut(g, 0, 3, flow=flow) == st_min_cut(g, 0, 3) == CutResult(1)
+        assert flow == [1, 1, 0, 0, 0]
+
+    def test_cancel_walks_to_both_endpoints(self):
+        # The unit 0 -> 1 -> 2 -> 3 loses its middle link.
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        flow = [0] * 4
+        assert st_min_cut(g, 0, 3, flow=flow).flexibility == 2
+        assert flow == [1, 1, 1, 1]
+        g.allocated[1] = True
+        routing._cancel_unit(g, flow, 1)
+        assert flow == [0, 0, 0, 1]
+        assert st_min_cut(g, 0, 3, flow=flow).flexibility == 1
+
+    @pytest.mark.parametrize("flow", [[], "x", [0] * 3, [0] * 5, (0,) * 4, {0: 0}])
+    def test_rejects_a_flow_that_is_not_a_list_per_link(self, flow):
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2), (0, 2)])
+        with pytest.raises(InvalidParameterError, match="flow must be None or a list of 4"):
+            st_min_cut(g, 0, 2, flow=flow)
+
+    def test_flow_is_keyword_only(self):
+        g = build_graph(2, [(0, 1)])
+        with pytest.raises(TypeError):
+            st_min_cut(g, 0, 1, [0])  # type: ignore[misc]
+
+
 _SEARCHES = {
     "shortest": shortest_entangled_path,
     "min_distance": routing._min_distance_path,

@@ -26,6 +26,7 @@ from oracles import (
     draw_uniform,
     max_edge_disjoint_paths_bruteforce,
     max_min_disjoint_paths_milp,
+    mcsa_schedule_reference,
     min_total_distance_bruteforce,
     random_simple_path_reference,
     rmpsa_schedule_reference,
@@ -367,6 +368,83 @@ class TestFcfsBaselinesAgainstReference:
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InvalidParameterError, match="rng must be an RngStream"):
             rmpsa_schedule(g, (Demand(0, 0, 2),), rng)
+
+
+def _mcsa_generated_instances():
+    """Generated graphs (capacity 11, alpha 0.05) with up to 25 demands.
+
+    So many demands take many rounds, and each round's paths break flows
+    that the next ranking repairs. One demand per instance runs to a node
+    whose links were all allocated beforehand.
+    """
+    for node_count, demand_count in ((50, 10), (50, 25), (150, 25), (250, 12), (250, 25)):
+        rng = RngStream(9000 + node_count).substream(demand_count)
+        net = generate_topology(node_count, 7.44, 11, rng.substream(0))
+        g = generate_entanglement(net, 0.05, rng.substream(1))
+        demands = list(_sample_demands(node_count, demand_count - 1, rng.substream(2)))
+        lonely = rng.randrange(node_count)
+        _isolate(g, lonely)
+        demands.append(Demand(demand_count - 1, (lonely + 1) % node_count, lonely))
+        yield g, tuple(demands)
+
+
+def _parallel_link_instances():
+    """Random multigraphs in which most node pairs repeat a link."""
+    rng = RngStream(77)
+    for _ in range(40):
+        n = draw_int(rng, 4, 9)
+        edges = []
+        for _ in range(draw_int(rng, 6, 24)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges += [(min(u, v), max(u, v))] * draw_int(rng, 1, 3)
+        demands, pairs = [], set()
+        for _ in range(draw_int(rng, 2, 5)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and (u, v) not in pairs:
+                pairs.add((u, v))
+                demands.append(Demand(len(demands), u, v))
+        if len(demands) > 1:
+            yield build_graph(n, edges), tuple(demands)
+
+
+class TestMcsaAgainstReference:
+    """MCSA, which repairs each demand's flow between rounds, against MCSA
+    that ranks every round by the one-directional reference from scratch."""
+
+    @pytest.fixture
+    def cancels(self, monkeypatch) -> list[int]:
+        """Count the flow units MCSA cancels on claimed links."""
+        counted = [0]
+        cancel = routing._cancel_unit
+
+        def counting(g, flow, lid):
+            counted[0] += 1
+            return cancel(g, flow, lid)
+
+        monkeypatch.setattr(routing, "_cancel_unit", counting)
+        return counted
+
+    def test_generated_graphs(self, cancels):
+        for g, demands in _mcsa_generated_instances():
+            assert mcsa_schedule(g, demands).to_json() == (
+                mcsa_schedule_reference(g, demands).to_json())
+        assert cancels[0] > 0
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    def test_unit_grids(self, cap, cancels):
+        for g, demands, _ in _grid_instances():
+            assert mcsa_schedule(g, demands, per_demand_cap=cap).to_json() == (
+                mcsa_schedule_reference(g, demands, per_demand_cap=cap).to_json())
+        # One path per demand leaves no second ranking to repair a flow for.
+        assert (cancels[0] == 0) == (cap == 1)
+
+    def test_parallel_link_multigraphs(self, cancels):
+        instances = [(g, demands) for g, demands, _ in _dense_instances()]
+        for g, demands in instances + list(_parallel_link_instances()):
+            assert mcsa_schedule(g, demands).to_json() == (
+                mcsa_schedule_reference(g, demands).to_json())
+        assert cancels[0] > 0
 
 
 class TestCrossAlgorithmProperties:
