@@ -7,16 +7,18 @@ allocation flags, and its schedule is the one place demand ids are kept.
 
 The path searches label only what their answer depends on. The minimum-hop
 search is a bidirectional BFS (Pohl, "Bi-directional search", 1971) that
-stops after the layer where its two trees meet. The minimum-distance search
-is A* (Hart, Nilsson and Raphael, 1968) from dst toward src, guided by each
-demand source's distances over all links, a lower bound that holds while
-links are only ever claimed (Goldberg and Harrelson's landmark bounds, 2005),
-and it labels only as far as the descent from src needs. Both return exactly
-the path that labeling the whole component would give. The minimum-distance
-and random searches fail at once when src or dst has no free link left. The
-min cut's flow stops at the first augmenting search that fails, or once it
-fills the free links at src or dst; MCSA resumes each demand's flow from its
-last ranking once the units on links claimed since are cancelled.
+stops where its two trees meet, and it reads the path up to there from the
+parent through which the forward search first reached each node. The
+minimum-distance search is A* (Hart, Nilsson and Raphael, 1968) from dst
+toward src, guided by each demand source's distances over all links, a
+lower bound that holds while links are only ever claimed (Goldberg and
+Harrelson's landmark bounds, 2005), and it labels only as far as the
+descent from src needs. Both return exactly the path that labeling the
+whole component would give. The minimum-distance and random searches fail
+at once when src or dst has no free link left. The min cut's flow stops at
+the first augmenting search that fails, or once it fills the free links at
+src or dst; MCSA resumes each demand's flow from its last ranking once the
+units on links claimed since are cancelled.
 
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
@@ -34,6 +36,7 @@ import sys
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InvalidParameterError, InvariantViolationError, require_integer
 from .network import Demand, EntangledGraph
@@ -143,74 +146,88 @@ def shortest_entangled_path(g: EntangledGraph, src: int, dst: int) -> Path | Non
     is returned; parallel links resolve to the smallest link id.
 
     A bidirectional BFS expands the smaller frontier by one full layer per
-    step. The layer in which the two trees first touch is completed, and its
-    nodes that lie in the other tree form the meeting layer: exactly the
-    nodes at one forward depth ``a`` that lie on some shortest path. Walking
-    back from it over the forward BFS layers marks the shortest-path nodes
-    at every depth below ``a``; past it, the backward depths lead to dst.
-    Taking the smallest ``(node, link id)`` among those at each step gives
-    the lexicographic minimum, since each one extends to a shortest path.
+    step. While the two trees are apart, every node at forward depth a or
+    less lies at backward depth b + 1 or more, so the distance is at least
+    a + b + 1; the layer in which they first touch makes it exactly that.
+    Every meeting node then lies at one forward and one backward depth, and
+    the meeting nodes are exactly the nodes at that forward depth which lie
+    on some shortest path.
+
+    The forward BFS scans each layer in discovery order over sorted
+    adjacency, so by induction each layer is discovered in the
+    lexicographic order of its nodes' smallest shortest paths from src,
+    and the parent that first discovered a node ends that path. Shortest
+    paths through different meeting nodes first differ at or before them,
+    so the answer runs through the meeting node whose path from src is
+    smallest: the first meeting node a forward layer discovers, or the
+    first node of the forward frontier that a backward layer labels. The
+    answer is that node's chain of first-discovery parents, then the
+    descent that takes the smallest ``(node, link id)`` one backward depth
+    nearer dst at each step; every such node extends to a shortest path.
     """
     src, dst = _check_endpoints(g, src, dst)
     allocated = g.allocated
     adjacency = g.adjacency
+    n = g.node_count
 
-    # Hop distances from src and to dst over unallocated links.
-    fdist = {src: 0}
-    bdist = {dst: 0}
+    # fvia[x] is (parent, link id) from x's first forward discovery, and
+    # src is its own parent; bdist[x] is x's hop distance to dst, -1 unseen.
+    fvia: list[tuple[int, int] | None] = [None] * n
+    fvia[src] = (src, -1)
+    bdist = [-1] * n
+    bdist[dst] = 0
     ffront, bfront = [src], [dst]
-    while True:
-        forward = len(ffront) <= len(bfront)
-        if forward:
-            front, tree, other = ffront, fdist, bdist
-        else:
-            front, tree, other = bfront, bdist, fdist
-        depth = tree[front[0]] + 1
+    depth = 0
+    meet = -1
+    while meet < 0:
         grown = []
-        meet = []
-        for here in front:
-            for y, lid in adjacency[here]:
-                if y not in tree and not allocated[lid]:
-                    tree[y] = depth
-                    grown.append(y)
-                    if y in other:
-                        meet.append(y)
-        if meet:
-            break
-        if not grown:
-            return None
-        if forward:
+        if len(ffront) <= len(bfront):
+            for here in ffront:
+                for y, lid in adjacency[here]:
+                    if fvia[y] is None and not allocated[lid]:
+                        fvia[y] = (here, lid)
+                        if bdist[y] >= 0:
+                            meet = y
+                            break
+                        grown.append(y)
+                if meet >= 0:
+                    break
             ffront = grown
         else:
+            depth += 1
+            met = False
+            for here in bfront:
+                for y, lid in adjacency[here]:
+                    if bdist[y] < 0 and not allocated[lid]:
+                        bdist[y] = depth
+                        grown.append(y)
+                        if fvia[y] is not None:
+                            met = True
+            if met:
+                for y in ffront:
+                    if bdist[y] >= 0:
+                        meet = y
+                        break
             bfront = grown
+        if not grown and meet < 0:
+            return None
 
-    # levels[i] holds the shortest-path nodes at forward depth a - i.
-    levels = [set(meet)]
-    for depth in range(fdist[meet[0]] - 1, 0, -1):
-        below = set()
-        for x in levels[-1]:
-            for y, lid in adjacency[x]:
-                if fdist.get(y) == depth and not allocated[lid]:
-                    below.add(y)
-        levels.append(below)
-
+    nodes = []
+    edges = []
+    x = meet
+    while x != src:
+        x, lid = fvia[x]  # type: ignore[misc]
+        nodes.append(x)
+        edges.append(lid)
+    nodes.reverse()
+    edges.reverse()
+    nodes.append(meet)
     # Adjacency is sorted by (neighbor, link id), so the first qualifying
     # entry of a scan is the smallest.
-    nodes = [src]
-    edges = []
-    here = src
-    for level in reversed(levels):
+    here = meet
+    for want in range(bdist[meet] - 1, -1, -1):
         for y, lid in adjacency[here]:
-            if y in level and not allocated[lid]:
-                break
-        else:  # unreachable given the marking above
-            raise InvariantViolationError("shortest-path descent lost its frontier")
-        nodes.append(y)
-        edges.append(lid)
-        here = y
-    for want in range(bdist[here] - 1, -1, -1):
-        for y, lid in adjacency[here]:
-            if bdist.get(y) == want and not allocated[lid]:
+            if bdist[y] == want and not allocated[lid]:
                 break
         else:  # unreachable given the backward BFS
             raise InvariantViolationError("shortest-path descent lost its frontier")
@@ -224,8 +241,8 @@ def _grow_layer(
     g: EntangledGraph,
     flow: list[int],
     front: list[int],
-    tree: dict[int, tuple[int, int] | None],
-    other: dict[int, tuple[int, int] | None],
+    side: list[int],
+    via: list[tuple[int, int] | None],
     sign: int,
 ) -> tuple[list[int], tuple[int, int, int] | None]:
     """Grow a BFS tree over the residual graph by one full layer.
@@ -237,23 +254,28 @@ def _grow_layer(
     ``flow > 0`` for ``here < y`` and ``flow < 0`` for ``here > y``; negating
     the flow turns that into the test for the reverse arc.
 
-    Stops at the first neighbor that already lies in ``other`` and returns
-    the meeting arc ``(x, y, lid)``, with x in the src tree and y in the dst
-    tree; otherwise returns the next frontier and None.
+    ``side[x]`` is 1 for a node of the src tree, -1 for one of the dst tree
+    and 0 for one in neither; a node newly labeled ``sign`` keeps its
+    ``(parent, link id)`` in ``via``. Stops at the first neighbor that the
+    other tree already holds and returns the meeting arc ``(x, y, lid)``,
+    with x in the src tree and y in the dst tree; otherwise returns the next
+    frontier and None.
     """
     allocated = g.allocated
     adjacency = g.adjacency
     grown = []
     for here in front:
         for y, lid in adjacency[here]:
-            if y in tree or allocated[lid]:
+            s = side[y]
+            if s == sign or allocated[lid]:
                 continue
             f = flow[lid] * sign
             if f > 0 if here < y else f < 0:
                 continue
-            if y in other:
+            if s:
                 return grown, (here, y, lid) if sign > 0 else (y, here, lid)
-            tree[y] = (here, lid)
+            side[y] = sign
+            via[y] = (here, lid)
             grown.append(y)
     return grown, None
 
@@ -287,27 +309,31 @@ def st_min_cut(
     # Net flow per link, oriented from link.u to link.v; none enters src.
     value = sum([flow[lid] if src < y else -flow[lid] for y, lid in adjacency[src]])
     bound = min([sum([not allocated[lid] for _, lid in adjacency[x]]) for x in (src, dst)])
+    n = g.node_count
+    # Only nodes that side marks read their entry of via, so via is shared
+    # by every search of this call.
+    via: list[tuple[int, int] | None] = [None] * n
     while value < bound:
-        fwd: dict[int, tuple[int, int] | None] = {src: None}
-        bwd: dict[int, tuple[int, int] | None] = {dst: None}
+        side = [0] * n
+        side[src], side[dst] = 1, -1
         ffront, bfront = [src], [dst]
         meet = None
         while meet is None and ffront and bfront:
             if len(ffront) <= len(bfront):
-                ffront, meet = _grow_layer(g, flow, ffront, fwd, bwd, 1)
+                ffront, meet = _grow_layer(g, flow, ffront, side, via, 1)
             else:
-                bfront, meet = _grow_layer(g, flow, bfront, bwd, fwd, -1)
+                bfront, meet = _grow_layer(g, flow, bfront, side, via, -1)
         if meet is None:
             break
         # Push one unit along src ~> x -> y ~> dst.
         x, y, lid = meet
         flow[lid] += 1 if x < y else -1
         while x != src:
-            px, plid = fwd[x]  # type: ignore[misc]
+            px, plid = via[x]  # type: ignore[misc]
             flow[plid] += 1 if px < x else -1
             x = px
         while y != dst:
-            ny, nlid = bwd[y]  # type: ignore[misc]
+            ny, nlid = via[y]  # type: ignore[misc]
             flow[nlid] += 1 if y < ny else -1
             y = ny
         value += 1
@@ -481,9 +507,9 @@ def mcsa_schedule(
         if len(active) > 1:
             for d in active:
                 flow = flows[d.id]
-                for lid in claimed:
-                    if flow[lid]:
-                        _cancel_unit(work, flow, lid)
+                # Read lazily, so a unit an earlier cancel removed reads as gone.
+                for lid in compress(claimed, map(flow.__getitem__, claimed)):
+                    _cancel_unit(work, flow, lid)
             active.sort(key=lambda d: (st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, d.id))
         claimed = []
         served = []
@@ -517,7 +543,9 @@ def _random_simple_path(
         return None
     allocated = g.allocated
     adjacency = g.adjacency
-    parents: dict[int, tuple[int, int] | None] = {src: None}
+    # via[x] is (parent, link id) once x is pushed; src is its own parent.
+    via: list[tuple[int, int] | None] = [None] * g.node_count
+    via[src] = (src, -1)
     stack = [src]
     while stack:
         x = stack.pop()
@@ -526,7 +554,7 @@ def _random_simple_path(
         candidates = [
             (y, lid)
             for y, lid in adjacency[x]
-            if y not in parents and not allocated[lid]
+            if via[y] is None and not allocated[lid]
         ]
         if len(candidates) > 1:
             for i in range(len(candidates) - 1, 0, -1):
@@ -537,16 +565,16 @@ def _random_simple_path(
                 j = word % (i + 1)
                 candidates[i], candidates[j] = candidates[j], candidates[i]
         for y, lid in candidates:
-            if y not in parents:
-                parents[y] = (x, lid)
+            if via[y] is None:
+                via[y] = (x, lid)
                 stack.append(y)
-    if dst not in parents:
+    if via[dst] is None:
         return None
     nodes = [dst]
     edges = []
     node = dst
     while node != src:
-        x, lid = parents[node]  # type: ignore[misc]
+        x, lid = via[node]  # type: ignore[misc]
         edges.append(lid)
         nodes.append(x)
         node = x

@@ -11,7 +11,7 @@ no longer occurs exactly once in its file.
 
 ``EQUIVALENT`` lists mutants that are equivalent, or that no test catches,
 each with its reason. They are not run, but their texts must still match, so
-the list follows the code. The whole check takes under a minute.
+the list follows the code. The whole check takes about a minute.
 """
 
 from __future__ import annotations
@@ -47,8 +47,14 @@ MUTANTS = [
     ),
     (
         "routing.py",
-        "if flow[lid]:",
-        "if False:",
+        "compress(claimed, map(flow.__getitem__, claimed))",
+        "()",
+        ["tests/test_schedulers.py::TestMcsaAgainstReference"],
+    ),
+    (
+        "routing.py",
+        "compress(claimed, map(flow.__getitem__, claimed))",
+        "compress(claimed, [flow[lid] for lid in claimed])",
         ["tests/test_schedulers.py::TestMcsaAgainstReference"],
     ),
     (
@@ -107,6 +113,30 @@ MUTANTS = [
             "tests/test_schedulers.py::TestFcfsBaselinesAgainstReference"
             "::test_random_search_rejects_a_word_at_its_threshold"
         ],
+    ),
+    (
+        "routing.py",
+        "                for y in ffront:\n",
+        "                for y in reversed(ffront):\n",
+        [
+            "tests/test_routing.py::TestShortestPath",
+            "tests/test_routing.py::TestPathKernelsAgainstReference",
+        ],
+    ),
+    (
+        "routing.py",
+        "                            meet = y\n                            break\n",
+        "                            meet = y\n",
+        [
+            "tests/test_routing.py::TestShortestPath",
+            "tests/test_routing.py::TestPathKernelsAgainstReference",
+        ],
+    ),
+    (
+        "routing.py",
+        "    via[src] = (src, -1)\n    stack = [src]\n",
+        "    stack = [src]\n",
+        ["tests/test_schedulers.py::TestFcfsBaselinesAgainstReference::test_rmpsa"],
     ),
     (
         "rng.py",

@@ -74,6 +74,57 @@ class TestShortestPath:
         assert p.hop_count == 2
         assert p.nodes == (0, 1, 4)
 
+    def test_forward_meet_takes_the_first_discovered_node(self):
+        """The meeting layer's first node, not its smallest, ends the prefix.
+
+        The forward layer from nodes 1 and 2 meets the backward frontier {3, 5}
+        at node 5 first, reached from node 1; node 3, reached from node 2,
+        has the smaller id but the larger path from src.
+        """
+        g = build_graph(6, [(0, 1), (0, 2), (1, 5), (2, 3), (5, 4), (3, 4)])
+        p = shortest_entangled_path(g, 0, 4)
+        assert p == shortest_entangled_path_reference(g, 0, 4)
+        assert p.nodes == (0, 1, 5, 4)
+
+    def test_forward_meet_stops_at_its_first_meeting_node(self):
+        """Node 1 reaches two nodes of the backward tree {5, 6, 7, 8}; 5 wins."""
+        g = build_graph(10, [(0, 1), (0, 2), (9, 5), (9, 6), (9, 7), (9, 8), (1, 5), (1, 6)])
+        p = shortest_entangled_path(g, 0, 9)
+        assert p == shortest_entangled_path_reference(g, 0, 9)
+        assert p.nodes == (0, 1, 5, 9)
+
+    def test_backward_meet_takes_the_first_forward_frontier_node(self):
+        """A backward layer labels two frontier nodes; the earlier one wins.
+
+        The forward frontier is [1, 2, 3, 4] and the backward one [7, 8].
+        Growing the backward tree labels node 4 (from 7) before node 2
+        (from 8), and node 2 comes first in the forward frontier.
+        """
+        g = build_graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (9, 7), (9, 8), (7, 4), (8, 2)])
+        p = shortest_entangled_path(g, 0, 9)
+        assert p == shortest_entangled_path_reference(g, 0, 9)
+        assert p.nodes == (0, 2, 8, 9)
+        assert shortest_entangled_path(g, 9, 0) == shortest_entangled_path_reference(g, 9, 0)
+
+    def test_parallel_links_with_some_claimed(self):
+        """The first free link among parallel ones, on the direct and meeting arcs."""
+        g = build_graph(3, [(0, 1), (0, 1), (0, 1), (0, 2), (2, 1)])
+        g.allocated[0] = g.allocated[1] = True
+        p = shortest_entangled_path(g, 0, 1)
+        assert p == shortest_entangled_path_reference(g, 0, 1)
+        assert (p.nodes, p.edges) == ((0, 1), (2,))
+        g.allocated[2] = True
+        p = shortest_entangled_path(g, 1, 0)
+        assert p == shortest_entangled_path_reference(g, 1, 0)
+        assert (p.nodes, p.edges) == ((1, 2, 0), (4, 3))
+
+        h = build_graph(4, [(0, 1), (1, 2), (1, 2), (1, 2), (2, 3)])
+        h.allocated[1] = True
+        for src, dst in ((0, 3), (3, 0), (0, 2), (2, 0)):
+            assert shortest_entangled_path(h, src, dst) == (
+                shortest_entangled_path_reference(h, src, dst)), (src, dst)
+        assert shortest_entangled_path(h, 0, 3).edges == (0, 2, 4)
+
 
 class TestStMinCut:
     """``st_min_cut`` gives the value; the reference also gives the cut."""
@@ -254,8 +305,8 @@ class TestStMinCutAgainstReference:
         dried: list[int] = []
         grow = routing._grow_layer
 
-        def watched(g, flow, front, tree, other, sign):
-            grown, meet = grow(g, flow, front, tree, other, sign)
+        def watched(g, flow, front, side, via, sign):
+            grown, meet = grow(g, flow, front, side, via, sign)
             if not grown and meet is None:
                 dried.append(sign)
             return grown, meet
