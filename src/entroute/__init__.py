@@ -20,7 +20,6 @@ from .fidelity import (
     fidelity_sweep,
 )
 from .generation import (
-    entanglement_probability,
     generate_entanglement,
     generate_grid,
     generate_topology,
@@ -88,7 +87,6 @@ __all__ = [
     "bell_state",
     "compute_metrics",
     "dmpsa_schedule",
-    "entanglement_probability",
     "fidelity_sweep",
     "generate_entanglement",
     "generate_grid",

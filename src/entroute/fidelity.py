@@ -295,6 +295,10 @@ def fidelity_sweep(
         ("depolarization rate", depolarization_rates_hz),
         ("distance", distances_km),
     ):
+        try:
+            values = iter(values)
+        except TypeError as exc:
+            raise InvalidParameterError(f"{name}s must be a list: {exc}") from exc
         for value in values:
             # The exact type test spares float callers the slower full check.
             if type(value) is not float or not math.isfinite(value):

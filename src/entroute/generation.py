@@ -9,8 +9,8 @@ staying >= 1.
 
 Topology draws come in blocks from ``RngStream.random_array``: one uniform per
 node pair (u, v), u < v, in row-major order for each Erdos-Renyi attempt,
-then one per link for distances and one per node for capacities.  The blocks
-are bit-identical to the same number of scalar ``random()`` calls, so the
+then one per link for distances and one per node for capacities.  Uniform i
+of a block is ``(w >> 11) * 2**-53`` for the i-th ``next_u64()`` word w, so the
 generated network is exactly the one a pair-by-pair loop would draw.
 
 Entanglement generation budgets each node's qubits across its incident
@@ -27,9 +27,9 @@ are not retried.
 
 Link i draws from the substream ``rng.substream(i)``.  The seeds of all
 links come in one block from ``hash64_range``, and a stream is built only
-for links with attempts.  Each attempt takes one ``next_u64()`` word from its
-link's stream and compares its ``random()`` float against the threshold, so
-lowering alpha never shrinks the generated edge set for a fixed seed.
+for links with attempts.  Each attempt takes one ``next_u64()`` word w from its
+link's stream and succeeds when ``(w >> 11) * 2**-53`` is below that
+probability, so lowering alpha never shrinks the edge set for a fixed seed.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ CONNECTIVITY_RETRY_BUDGET = 100
 # Node pairs drawn per block: caps the memory of an Erdos-Renyi attempt at a
 # few MB whatever the node count (up to n = 362 all pairs fit in one block).
 PAIR_BLOCK = 1 << 16
-
-
-def entanglement_probability(distance_km: float, alpha: float) -> float:
-    """Per-attempt success probability exp(-alpha * distance)."""
-    # Chained comparisons are false for NaN, so these also reject it.
-    if not 0 <= distance_km < math.inf:
-        raise InvalidParameterError(f"distance must be in [0, inf), got {distance_km}")
-    if not 0 <= alpha < math.inf:
-        raise InvalidParameterError(f"alpha must be in [0, inf), got {alpha}")
-    return math.exp(-alpha * distance_km)
 
 
 def _is_connected(node_count: int, us: list[int], vs: list[int]) -> bool:
@@ -207,11 +197,11 @@ def generate_entanglement(
     ):
         if attempts == 0:
             continue
-        # entanglement_probability's formula; the network checked distance_km.
+        # The module docstring's success model; the network checked distance_km.
         p_success = math.exp(-alpha * plink.distance_km)
         next_u64 = RngStream(seed).next_u64
         for _ in range(attempts):
-            # Bit for bit RngStream.random() < p_success, one call per attempt.
+            # A uniform from the word's top 53 bits, one call per attempt.
             if (next_u64() >> 11) * 2.0**-53 < p_success:
                 links.append(plink)
     return EntangledGraph(links, net)

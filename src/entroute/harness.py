@@ -147,7 +147,10 @@ def load_config(name_or_path: str) -> ExperimentConfig:
     A file takes precedence over the preset of the same name, so adding a
     preset is adding ``presets/<name>.json``.
     """
-    source = Path(name_or_path)
+    try:
+        source = Path(name_or_path)
+    except TypeError as exc:  # not a str or path-like
+        raise InvalidParameterError(f"config must be a name or a path: {exc}") from exc
     if not source.exists():
         source = resources.files("entroute").joinpath(f"presets/{name_or_path}.json")
         if not source.is_file():

@@ -17,8 +17,8 @@ Because the state only ever advances by the golden-ratio step, the i-th
 output after a state s (i = 1, 2, ...) is ``mix64((s + i * 0x9E3779B97F4A7C15)
 mod 2^64)``, independent of every other draw.  ``RngStream._next_block``
 evaluates it for a block in NumPy ``uint64`` arithmetic (multiplies wrap mod
-2^64); ``random_array`` returns ``(z >> 11) * 2^-53``, bit for bit the floats
-of ``random()``, and ``words`` the words of ``next_u64()``, 256 at a time.
+2^64); ``random_array`` returns the uniform ``(z >> 11) * 2^-53`` of each word z,
+and ``words`` the words of ``next_u64()``, 256 at a time.
 
 Derived seeds use ``hash64``: starting from ``acc = 0``, each value ``v`` is
 absorbed as ``acc = mix64((acc + 0x9E3779B97F4A7C15 + v) mod 2^64)`` where
@@ -121,15 +121,11 @@ class RngStream:
         z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
         return z ^ (z >> 31)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def random_array(self, count: int) -> np.ndarray:
-        """The next ``count`` values of ``random()`` as a float64 array.
+        """Uniforms in [0, 1) from the next ``count`` words, as a float64 array.
 
-        Bit-identical to ``[self.random() for _ in range(count)]`` and leaves
-        the stream in the same state.
+        Entry i is ``(w >> 11) * 2**-53`` for the i-th ``next_u64()`` word w;
+        the stream ends where those calls would leave it.
         """
         count = require_integer("draw count", count)
         if count < 0:

@@ -55,7 +55,11 @@ class Path:
 
     def __post_init__(self):
         # The exact type test spares the searches' paths the slower full check.
-        if not all([type(x) is int for x in (*self.nodes, *self.edges)]):
+        try:
+            exact = all([type(x) is int for x in (*self.nodes, *self.edges)])
+        except TypeError as exc:  # nodes or edges not iterable
+            raise InvalidParameterError(f"path nodes and links must be sequences: {exc}") from exc
+        if not exact:
             setattr_ = object.__setattr__
             setattr_(self, "nodes", tuple([require_integer("path node", x) for x in self.nodes]))
             setattr_(self, "edges", tuple([require_integer("path link id", x) for x in self.edges]))
@@ -372,6 +376,9 @@ def allocate_path(
     schedule: RoutingSchedule, g: EntangledGraph, demand_id: int, p: Path
 ) -> None:
     """Claim a path's links, each a free link of ``g`` joining its two path nodes, and file it."""
+    # Exact ints skip the call; True or 1.0 would otherwise file under id 1.
+    if type(demand_id) is not int:
+        demand_id = require_integer("demand id", demand_id)
     paths = schedule.paths.get(demand_id)
     if paths is None:
         raise InvalidParameterError(f"path for unknown demand {demand_id}")

@@ -147,6 +147,24 @@ MUTANTS = [
             "tests/test_schedulers.py::TestFcfsBaselinesAgainstReference::test_rmpsa",
         ],
     ),
+    (
+        "harness.py",
+        "per_iteration[:checkpoint]",
+        "per_iteration[:checkpoint - 1]",
+        ["tests/test_end_to_end.py::test_cumulative_iterations_sweep_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "RngStream(hash64(child, _STREAM_RMPSA))",
+        "RngStream(hash64(child, _STREAM_DEMANDS))",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "generation.py",
+        "if alpha < 0:",
+        "if alpha < -1:",
+        ["tests/test_generation.py::TestGenerateEntanglement::test_rejects_non_finite_alpha"],
+    ),
 ]
 
 EQUIVALENT = [

@@ -3,6 +3,8 @@
 Everything here is deliberately independent of the package's graph
 algorithms: plain edge lists, exhaustive enumeration or an integer program,
 no shared code paths.
+The end-to-end references compose these into whole harness runs, with
+the harness's stream layout and the metric formulas of ``metrics.py``.
 The fidelity reference works on plain 4x4 ndarrays, one cell at a time.
 """
 
@@ -13,6 +15,7 @@ import json
 import math
 import sys
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,7 +24,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
-from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork
+from entroute.network import Demand, EntangledGraph, PhysicalLink, PhysicalNetwork
+from entroute.rng import RngStream, hash64
 from entroute.routing import Path, RoutingSchedule, _check_endpoints
 
 Edge = tuple[int, int]  # (u, v); index in the list is the edge id
@@ -49,14 +53,19 @@ def unmix64(z: int) -> int:
     return _unxorshift(z, 30)
 
 
+def uniform(stream) -> float:
+    """Uniform float in [0, 1) from the top 53 bits of one ``next_u64`` word."""
+    return (stream.next_u64() >> 11) * 2.0**-53
+
+
 def draw_int(rng, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] from one bounded ``RngStream`` draw."""
     return lo + rng.randrange(hi - lo + 1)
 
 
 def draw_uniform(rng, lo: float, hi: float) -> float:
-    """Uniform float in [lo, hi) from one ``RngStream.random`` draw."""
-    return lo + (hi - lo) * rng.random()
+    """Uniform float in [lo, hi) from one ``uniform`` draw."""
+    return lo + (hi - lo) * uniform(rng)
 
 
 def connected(edges: list[Edge], src: int, dst: int, removed: frozenset[int] = frozenset()) -> bool:
@@ -268,7 +277,7 @@ def generate_topology_scalar(
 ) -> PhysicalNetwork:
     """Pair-by-pair reference for ``entroute.generation.generate_topology``.
 
-    One scalar ``rng.random()`` per node pair (u, v), u < v, in row-major
+    One scalar ``uniform(rng)`` per node pair (u, v), u < v, in row-major
     order per Erdos-Renyi attempt, redrawn until connected within 100
     attempts; then one per link for its distance, saturated at the largest
     float over the node count, and one per node for its capacity.
@@ -279,7 +288,7 @@ def generate_topology_scalar(
             (u, v)
             for u in range(node_count)
             for v in range(u + 1, node_count)
-            if rng.random() < p
+            if uniform(rng) < p
         ]
         if _spans_all_nodes(node_count, edges):
             break
@@ -287,12 +296,12 @@ def generate_topology_scalar(
         raise GenerationFailureError(f"no connected graph on {node_count} nodes")
     cap = sys.float_info.max / node_count
     links = tuple(
-        PhysicalLink(u, v, min((0.5 + rng.random()) * avg_distance_km, cap))
+        PhysicalLink(u, v, min((0.5 + uniform(rng)) * avg_distance_km, cap))
         for u, v in edges
     )
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
     nodes = tuple(
-        1 + min(int(rng.random() * cap_max), cap_max - 1) for _ in range(node_count)
+        1 + min(int(uniform(rng) * cap_max), cap_max - 1) for _ in range(node_count)
     )
     return PhysicalNetwork(nodes, links)
 
@@ -321,7 +330,7 @@ def generate_entanglement_scalar(net: PhysicalNetwork, alpha: float, rng) -> Ent
     """Per-link reference for ``entroute.generation.generate_entanglement``.
 
     Link i with attempts derives ``rng.substream(i)`` (one scalar ``hash64``)
-    and draws one ``random()`` per attempt against exp(-alpha * distance).
+    and draws one ``uniform`` per attempt against exp(-alpha * distance).
     """
     links = []
     for link_index, (plink, attempts) in enumerate(
@@ -332,7 +341,7 @@ def generate_entanglement_scalar(net: PhysicalNetwork, alpha: float, rng) -> Ent
         p_success = math.exp(-alpha * plink.distance_km)
         link_rng = rng.substream(link_index)
         for _ in range(attempts):
-            if link_rng.random() < p_success:
+            if uniform(link_rng) < p_success:
                 links.append(plink)
     return EntangledGraph(links, net)
 
@@ -622,6 +631,150 @@ def mcsa_schedule_reference(
                 served.append(d)
         active = served
     return RoutingSchedule(paths)
+
+
+# --- end to end -------------------------------------------------------------
+
+# An instance seed's substreams, by purpose, as the harness docstring lays out.
+_TOPOLOGY, _ENTANGLEMENT, _DEMANDS, _RMPSA = range(4)
+# The config field that each sweep axis but ``iterations`` replaces.
+_AXIS_FIELDS = {
+    "avg_capacity": "avg_capacity",
+    "avg_distance": "avg_distance_km",
+    "node_count": "node_count",
+    "demand_count": "demand_count",
+}
+
+
+def sample_demands_reference(node_count: int, demand_count: int, rng) -> list[Demand]:
+    """Distinct unordered pairs by rejection, two ``randrange`` draws per try."""
+    demands: list[Demand] = []
+    seen: set[frozenset[int]] = set()
+    while len(demands) < demand_count:
+        u, v = rng.randrange(node_count), rng.randrange(node_count)
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            demands.append(Demand(len(demands), u, v))
+    return demands
+
+
+def _schedule_reference(name: str, graph: EntangledGraph, demands, rmpsa_rng) -> RoutingSchedule:
+    if name == "smpsa":
+        return fcfs_schedule_reference(
+            graph, demands, lambda work, d: shortest_entangled_path_reference(work, d.src, d.dst)
+        )
+    if name == "mcsa":
+        return mcsa_schedule_reference(graph, demands)
+    if name == "rmpsa":
+        return rmpsa_schedule_reference(graph, demands, rmpsa_rng)
+    return dmpsa_schedule_reference(graph, demands)
+
+
+def run_single_reference(
+    config, iteration_index: int, axis_index: int = 0, sweep_value=None
+) -> list[tuple]:
+    """Reference for ``entroute.harness.run_single``; rows as tuples without ``runtime_ms``.
+
+    The instance seed is ``hash64(master seed, iteration, axis index)``. Its
+    substreams 0, 1, 2 and 3 draw the topology, the Bell pairs, the demands
+    and RMPSA's paths. Each distinct selected algorithm, in name order,
+    schedules the same graph and demands. Its row holds k, the fewest paths
+    of any demand; the mean hop count over all paths, 0 with none; the
+    depletion ratio, 2 qubits per hop over the network's total capacity;
+    and the number of paths.
+    """
+    child = RngStream(hash64(config.master_seed, iteration_index, axis_index))
+    net = generate_topology_scalar(
+        config.node_count, config.avg_distance_km, config.avg_capacity,
+        child.substream(_TOPOLOGY),
+    )
+    graph = generate_entanglement_scalar(net, config.alpha_per_km, child.substream(_ENTANGLEMENT))
+    demands = sample_demands_reference(
+        config.node_count, config.demand_count, child.substream(_DEMANDS)
+    )
+    rows = []
+    for name in sorted(set(config.algorithms)):
+        schedule = _schedule_reference(name, graph, demands, child.substream(_RMPSA))
+        hops = [len(p.edges) for paths in schedule.paths.values() for p in paths]
+        rows.append((
+            child.seed,
+            name,
+            sweep_value,
+            min(len(paths) for paths in schedule.paths.values()),
+            sum(hops) / len(hops) if hops else 0.0,
+            2 * sum(hops) / sum(net.nodes),
+            len(hops),
+        ))
+    return rows
+
+
+def _aggregates_reference(axis: str, value, rows: list[tuple]) -> list[tuple]:
+    """Per-algorithm means of k, hop count, depletion and paths, in name order."""
+    out = []
+    for name in sorted({row[1] for row in rows}):
+        sub = [row for row in rows if row[1] == name]
+        means = [sum(row[i] for row in sub) / len(sub) for i in (3, 4, 5, 6)]
+        out.append((axis, value, name, len(sub), *means))
+    return out
+
+
+def run_sweep_reference(config) -> tuple[list[tuple], list[tuple]]:
+    """Reference for ``entroute.harness.run_sweep``: raw and aggregate rows as tuples.
+
+    On the ``iterations`` axis, instances 0, 1, ... run once, up to the
+    largest checkpoint, and each checkpoint c, in ascending order, averages
+    the rows of the first c instances. On any other axis, value j of the
+    sweep replaces its config field and runs ``config.iterations`` instances
+    with axis index j, averaged on their own.
+    """
+    axis = config.sweep_axis
+    raw: list[tuple] = []
+    aggregates: list[tuple] = []
+    if axis == "iterations":
+        checkpoints = sorted(int(v) for v in config.sweep_values)
+        for iteration in range(checkpoints[-1]):
+            raw += run_single_reference(config, iteration)
+        per_instance = len(set(config.algorithms))
+        for checkpoint in checkpoints:
+            window = raw[: checkpoint * per_instance]
+            aggregates += _aggregates_reference(axis, float(checkpoint), window)
+        return raw, aggregates
+    field = _AXIS_FIELDS[axis]
+    for axis_index, value in enumerate(config.sweep_values):
+        sub = replace(config, **{field: int(value) if field.endswith("_count") else value})
+        rows = [
+            row
+            for iteration in range(config.iterations)
+            for row in run_single_reference(sub, iteration, axis_index, value)
+        ]
+        raw += rows
+        aggregates += _aggregates_reference(axis, value, rows)
+    return raw, aggregates
+
+
+def run_grid_check_reference(rows: int, cols: int, demand_count: int, seed: int) -> tuple:
+    """Reference for ``entroute.harness.run_grid_check``; the report's fields as a tuple.
+
+    A rows x cols grid of capacity-4 nodes and 1 km links, each node linked
+    to its right and then its lower neighbor in row-major order, entangled
+    at alpha 0 from substream 1 of ``seed``. Demand i joins column c_i of
+    the top row to the same column of the bottom row, the columns a
+    ``sample`` of substream 2, and MCSA serves at most one path each.
+    """
+    n = rows * cols
+    links = []
+    for x in range(n):
+        if x % cols + 1 < cols:
+            links.append(PhysicalLink(x, x + 1, 1.0))
+        if x + cols < n:
+            links.append(PhysicalLink(x, x + cols, 1.0))
+    net = PhysicalNetwork((4,) * n, tuple(links))
+    graph = generate_entanglement_scalar(net, 0.0, RngStream(seed).substream(_ENTANGLEMENT))
+    columns = RngStream(seed).substream(_DEMANDS).sample(cols, demand_count)
+    demands = [Demand(i, c, (rows - 1) * cols + c) for i, c in enumerate(columns)]
+    schedule = mcsa_schedule_reference(graph, demands, per_demand_cap=1)
+    counts = tuple(len(schedule.paths[d.id]) for d in demands)
+    return (rows, cols, demand_count, seed, all(counts), counts)
 
 
 # --- fidelity ---------------------------------------------------------------

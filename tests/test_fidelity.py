@@ -493,6 +493,16 @@ class TestFidelitySweep:
         with pytest.raises(InvalidParameterError, match="propagation speed"):
             fidelity_sweep([1e6], [1e6], [1.0], speed)
 
+    @pytest.mark.parametrize(
+        "position, name", [(0, "dephasing rates"), (1, "depolarization rates"), (2, "distances")]
+    )
+    @pytest.mark.parametrize("value", [None, 1.0])
+    def test_rejects_a_grid_that_is_not_a_list(self, position, name, value):
+        grids = [[1.0], [1.0], [1.0]]
+        grids[position] = value
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a list"):
+            fidelity_sweep(*grids)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             fidelity_sweep([], [], [1.0])

@@ -1,7 +1,6 @@
 import math
 import sys
 from collections import Counter
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from entroute import generation
 from entroute.errors import InvalidParameterError
 from entroute.generation import (
-    entanglement_probability,
     generate_entanglement,
     generate_grid,
     generate_topology,
@@ -21,44 +19,9 @@ from oracles import (
     generate_entanglement_scalar,
     generate_topology_scalar,
     slot_pair_counts_rescan,
+    uniform,
     unmix64,
 )
-
-
-class TestEntanglementProbability:
-    def test_zero_distance(self):
-        assert entanglement_probability(0.0, 0.05) == 1.0
-
-    def test_known_values_against_decimal_oracle(self):
-        # Frozen from Decimal(-x).exp() at 50 digits.
-        assert entanglement_probability(7.44, 0.05) == pytest.approx(
-            float(Decimal("0.68935424252422242284799411702265630203800131590590")),
-            abs=1e-12,
-        )
-        assert abs(entanglement_probability(7.44, 0.05) - 0.6894) < 1e-4
-        assert entanglement_probability(27.5, 0.05) == pytest.approx(
-            float(Decimal("0.25283959580474647781098749981932527796853388863228")),
-            abs=1e-12,
-        )
-        assert abs(entanglement_probability(27.5, 0.05) - 0.2528) < 1e-4
-
-    def test_strictly_decreasing_in_distance(self):
-        probs = [entanglement_probability(d, 0.05) for d in (1, 5, 10, 20, 40)]
-        assert all(a > b for a, b in zip(probs, probs[1:]))
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            entanglement_probability(-1.0, 0.05)
-        with pytest.raises(InvalidParameterError):
-            entanglement_probability(1.0, -0.05)
-
-    @pytest.mark.parametrize(
-        "distance, alpha",
-        [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0), (1.0, math.inf)],
-    )
-    def test_non_finite_inputs_rejected(self, distance, alpha):
-        with pytest.raises(InvalidParameterError, match=r"must be in \[0, inf\)"):
-            entanglement_probability(distance, alpha)
 
 
 class TestGenerateTopology:
@@ -137,7 +100,7 @@ def _assert_matches_scalar_oracle(node_count, avg_distance_km, avg_capacity, see
     slow = generate_topology_scalar(node_count, avg_distance_km, avg_capacity, slow_rng)
     assert fast.to_json() == slow.to_json()
     # Both leave their stream at the same position.
-    assert fast_rng.random() == slow_rng.random()
+    assert uniform(fast_rng) == uniform(slow_rng)
     return fast
 
 
@@ -158,7 +121,7 @@ class TestTopologyMatchesScalarOracle:
         rng, skip = RngStream(6), RngStream(6)
         generate_topology(50, 7.44, 4, rng)
         skip.random_array(consumed)
-        assert rng.random() == skip.random()
+        assert uniform(rng) == uniform(skip)
 
     @pytest.mark.parametrize("seed", [6, 42])
     def test_pair_blocks_that_split_rows(self, monkeypatch, seed):
@@ -236,7 +199,7 @@ def _line_network(capacities, distance=1.0):
 
 
 class TestGenerateEntanglement:
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True, -0.05])
     def test_rejects_non_finite_alpha(self, alpha):
         net = _line_network([2, 2])
         with pytest.raises(InvalidParameterError, match="alpha"):
@@ -393,8 +356,8 @@ def _rng_whose_first_link_draws(word: int) -> RngStream:
 )
 def test_a_draw_equal_to_the_success_probability_fails(word, pairs):
     # exp(-1.0 * ln 2) is 0.5 exactly, and the word 2**63 draws 0.5: an
-    # attempt succeeds when random() < p, so that draw is a failure.
+    # attempt succeeds when its uniform is below p, so that draw is a failure.
     net = PhysicalNetwork((1, 1), (PhysicalLink(0, 1, math.log(2)),))
-    assert entanglement_probability(math.log(2), 1.0) == 0.5
+    assert math.exp(-1.0 * math.log(2)) == 0.5
     graph = generate_entanglement(net, 1.0, _rng_whose_first_link_draws(word))
     assert len(graph.links) == pairs

@@ -134,6 +134,11 @@ class TestExperimentConfig:
         monkeypatch.chdir(tmp_path)
         assert load_config("fig5c").node_count == 7
 
+    @pytest.mark.parametrize("name", [None, 5, b"fig5c"])
+    def test_load_config_rejects_a_name_that_is_not_a_path(self, name):
+        with pytest.raises(InvalidParameterError, match="config must be a name or a path"):
+            load_config(name)
+
     def test_load_config_unknown_name(self):
         with pytest.raises(InvalidParameterError, match="config not found: fig99"):
             load_config("fig99")

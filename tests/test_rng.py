@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError, require_integer
 from entroute.rng import RngStream, hash64, hash64_range, mix64
-from oracles import shuffle, unmix64
+from oracles import shuffle, uniform, unmix64
 
 
 def test_known_first_outputs():
@@ -27,8 +27,8 @@ def test_same_seed_same_sequence():
 
 def test_substream_derives_from_seed_not_state():
     a = RngStream(7)
-    a.random()
-    a.random()
+    uniform(a)
+    uniform(a)
     b = RngStream(7)
     assert a.substream(3).seed == b.substream(3).seed
 
@@ -42,7 +42,7 @@ def test_hash64_matches_documented_formula():
 
 def test_random_in_unit_interval():
     s = RngStream(9)
-    draws = [s.random() for _ in range(1000)]
+    draws = [uniform(s) for _ in range(1000)]
     assert all(0.0 <= d < 1.0 for d in draws)
     assert len(set(draws)) > 990
 
@@ -68,7 +68,7 @@ def _stream_whose_next_word_is(word: int) -> RngStream:
 def test_next_u64_is_mix64_of_the_stepped_state(word):
     stream = _stream_whose_next_word_is(word)
     assert stream.next_u64() == word
-    assert stream.random() == (mix64(unmix64(word) + 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+    assert uniform(stream) == (mix64(unmix64(word) + 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
 
 
 def test_randrange_rejects_a_word_at_its_threshold():
@@ -132,14 +132,14 @@ def test_sample_distinct():
 )
 def test_random_array_matches_scalar_draws(seed, count):
     block, scalar = RngStream(seed), RngStream(seed)
-    assert block.random_array(count).tolist() == [scalar.random() for _ in range(count)]
-    assert block.random() == scalar.random()
+    assert block.random_array(count).tolist() == [uniform(scalar) for _ in range(count)]
+    assert uniform(block) == uniform(scalar)
 
 
 def test_random_array_of_zero_does_not_advance():
     s = RngStream(17)
     assert s.random_array(0).tolist() == []
-    assert s.random() == RngStream(17).random()
+    assert uniform(s) == uniform(RngStream(17))
 
 
 def test_random_array_rejects_negative_count():

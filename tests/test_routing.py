@@ -34,6 +34,7 @@ from oracles import (
     min_distance_path_reference,
     shortest_entangled_path_reference,
     st_min_cut_reference,
+    uniform,
 )
 
 
@@ -224,6 +225,21 @@ class TestAllocatePath:
     def test_link_id_past_the_end_rejected(self):
         self.assert_rejected(Path((1, 2), (2,)), "path names link 2, not a link")
 
+    @pytest.mark.parametrize("demand_id", [True, 1.0, [], None, "1"])
+    def test_non_integer_demand_id_rejected_before_any_claim(self, demand_id):
+        g = build_graph(2, [(0, 1)])
+        schedule = RoutingSchedule({0: [], 1: []})
+        with pytest.raises(InvalidParameterError, match="demand id must be an integer"):
+            allocate_path(schedule, g, demand_id, Path((0, 1), (0,)))
+        assert g.allocated == [False]
+        assert schedule.total_paths == 0
+
+    def test_numpy_integer_demand_id_accepted(self):
+        g = build_graph(2, [(0, 1)])
+        schedule = RoutingSchedule({0: [], 1: []})
+        allocate_path(schedule, g, np.int64(1), Path((0, 1), (0,)))
+        assert [len(ps) for ps in schedule.paths.values()] == [0, 1]
+
     def test_numpy_typed_path_is_filed_as_ints(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         schedule = RoutingSchedule({0: []})
@@ -254,7 +270,7 @@ def test_menger_equivalence_small_graphs(seed):
     rng = RngStream(seed)
     n, edges, src, dst = _random_multigraph(rng, max_nodes=5, max_edges=8)
     g = build_graph(n, edges)
-    allocated = frozenset(lid for lid in range(len(edges)) if rng.random() < 0.3)
+    allocated = frozenset(lid for lid in range(len(edges)) if uniform(rng) < 0.3)
     for lid in allocated:
         g.allocated[lid] = True
     free_edges = [e for lid, e in enumerate(edges) if lid not in allocated]
@@ -275,7 +291,7 @@ def _generated_graph(node_count: int, seed: int, allocated_share: float) -> Enta
     g = generate_entanglement(net, 0.05, rng.substream(2))
     marks = rng.substream(3)
     for lid in range(len(g.links)):
-        if marks.random() < allocated_share:
+        if uniform(marks) < allocated_share:
             g.allocated[lid] = True
     return g
 
@@ -346,7 +362,7 @@ class TestStMinCutAgainstReference:
         for share in (0.0, 0.3):
             h = g.copy()
             for lid in range(len(h.links)):
-                if marks.random() < share:
+                if uniform(marks) < share:
                     h.allocated[lid] = True
             n = h.node_count
             pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
@@ -365,7 +381,7 @@ class TestStMinCutAgainstReference:
             edges += edges[: rng.randrange(len(edges) + 1)]
             g = build_graph(n, edges)
             for lid in range(len(g.links)):
-                if rng.random() < 0.2:
+                if uniform(rng) < 0.2:
                     g.allocated[lid] = True
             for s, t in ((src, dst), (dst, src)):
                 value = st_min_cut(g, s, t).flexibility
@@ -554,6 +570,12 @@ def test_path_rejects_non_integer_nodes_and_links(nodes, edges):
         Path(nodes, edges)
 
 
+@pytest.mark.parametrize("nodes, edges", [(None, (0,)), ((0, 1), None), (5, (0,))])
+def test_path_rejects_nodes_or_links_that_are_not_sequences(nodes, edges):
+    with pytest.raises(InvalidParameterError, match="must be sequences"):
+        Path(nodes, edges)
+
+
 def _free_multigraph(g: EntangledGraph) -> nx.MultiGraph:
     """The unallocated links as a networkx multigraph keyed by link id."""
     multi = nx.MultiGraph()
@@ -615,7 +637,7 @@ class TestPathKernelsAgainstReference:
         for share in (0.0, 0.3):
             h = g.copy()
             for lid in range(len(h.links)):
-                if marks.random() < share:
+                if uniform(marks) < share:
                     h.allocated[lid] = True
             n = h.node_count
             pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
@@ -685,7 +707,7 @@ class TestPathKernelsAgainstReference:
             g = build_graph(n, edges, distances={
                 pair: weights[rng.randrange(len(weights))] for pair in pairs})
             for lid in range(len(g.links)):
-                if rng.random() < 0.2:
+                if uniform(rng) < 0.2:
                     g.allocated[lid] = True
             for s, t in ((src, dst), (dst, src)):
                 assert shortest_entangled_path(g, s, t) == (
@@ -710,9 +732,9 @@ def test_min_distance_path_matches_reference_with_extreme_weights(seed):
     pairs = sorted(set(edges))
     g = build_graph(n, edges, distances={
         pair: weights[rng.randrange(len(weights))] for pair in pairs})
-    share = rng.random()
+    share = uniform(rng)
     for lid in range(len(g.links)):
-        if rng.random() < share:
+        if uniform(rng) < share:
             g.allocated[lid] = True
     for src in range(n):
         for dst in range(n):
