@@ -290,22 +290,23 @@ def fidelity_sweep(
     analytic, so each cell is one exact evaluation; all distances of one
     (channel, rate) pair are evaluated together as one stack.
     """
+    grids = []
     for name, values in (
         ("dephasing rate", dephasing_rates_hz),
         ("depolarization rate", depolarization_rates_hz),
         ("distance", distances_km),
     ):
         try:
-            values = iter(values)
+            values = list(values)  # read once: a grid may be a one-shot iterator
         except TypeError as exc:
             raise InvalidParameterError(f"{name}s must be a list: {exc}") from exc
         for value in values:
             # The exact type test spares float callers the slower full check.
             if type(value) is not float or not math.isfinite(value):
                 require_finite(name, value)
-    dephasing_rates_hz = sorted(dephasing_rates_hz)
-    depolarization_rates_hz = sorted(depolarization_rates_hz)
-    distances_km = sorted(distances_km)
+        values.sort()
+        grids.append(values)
+    dephasing_rates_hz, depolarization_rates_hz, distances_km = grids
     require_finite("propagation speed", propagation_speed_km_per_s)
     if propagation_speed_km_per_s <= 0:
         raise InvalidParameterError("propagation speed must be positive")

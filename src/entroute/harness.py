@@ -18,6 +18,10 @@ before the first run and checked before each run after the first; a single
 algorithm needs no digest. The graph builds its JSON text on the first
 call, so the guard serializes once per instance and only rehashes later.
 
+A sweep lists the ``run_single`` arguments of all its instances, runs them
+in that order, and averages each aggregate row over a window of consecutive
+instances; only that list and the windows depend on the sweep axis.
+
 Raw result rows carry a measured ``runtime_ms``; it is excluded from row
 equality and from the default sweep output so that sweep results are
 byte-reproducible.
@@ -52,7 +56,11 @@ from .routing import (
 from .rng import RngStream, hash64
 
 ALGORITHMS = ("smpsa", "mcsa", "rmpsa", "dmpsa")
-SWEEP_AXES = ("avg_capacity", "avg_distance", "node_count", "demand_count", "iterations")
+# The config field each sweep axis replaces; ``iterations`` is cumulative
+# and replaces none.
+_AXIS_FIELDS = {"avg_capacity": "avg_capacity", "avg_distance": "avg_distance_km",
+                "node_count": "node_count", "demand_count": "demand_count"}
+SWEEP_AXES = (*_AXIS_FIELDS, "iterations")
 
 _STREAM_TOPOLOGY = 0
 _STREAM_ENTANGLEMENT = 1
@@ -299,83 +307,69 @@ def run_single(
 
 
 def _substitute_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "avg_capacity":
-        return replace(config, avg_capacity=value)
-    if axis == "avg_distance":
-        return replace(config, avg_distance_km=value)
-    if axis == "node_count":
+    name = _AXIS_FIELDS.get(axis)
+    if name is None:
+        raise InvalidParameterError(f"unknown sweep axis '{axis}'")
+    if name.endswith("_count"):
         if value != int(value):
-            raise InvalidParameterError(f"node_count sweep value must be an integer, got {value}")
-        return replace(config, node_count=int(value))
-    if axis == "demand_count":
-        if value != int(value):
-            raise InvalidParameterError(f"demand_count sweep value must be an integer, got {value}")
-        return replace(config, demand_count=int(value))
-    raise InvalidParameterError(f"unknown sweep axis '{axis}'")
+            raise InvalidParameterError(f"{name} sweep value must be an integer, got {value}")
+        value = int(value)
+    return replace(config, **{name: value})
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values)
-
-
-def _aggregate(axis: str, value: float, rows: list[ResultRow]) -> list[AggregateRow]:
+def _aggregate(axis: str, value: float, instances: list[list[ResultRow]]) -> list[AggregateRow]:
+    """Per-algorithm means over the rows of a window of instances."""
+    rows = [r for instance in instances for r in instance]
     out = []
     for name in sorted({r.algorithm for r in rows}):
         sub = [r for r in rows if r.algorithm == name]
+        n = len(sub)
         out.append(
             AggregateRow(
                 sweep_axis=axis,
                 sweep_value=value,
                 algorithm=name,
-                iterations=len(sub),
-                mean_k=_mean(r.k for r in sub),
-                mean_avg_hop_count=_mean(r.avg_hop_count for r in sub),
-                mean_depletion_ratio=_mean(r.depletion_ratio for r in sub),
-                mean_total_paths=_mean(r.total_paths for r in sub),
+                iterations=n,
+                mean_k=sum(r.k for r in sub) / n,
+                mean_avg_hop_count=sum(r.avg_hop_count for r in sub) / n,
+                mean_depletion_ratio=sum(r.depletion_ratio for r in sub) / n,
+                mean_total_paths=sum(r.total_paths for r in sub) / n,
             )
         )
     return out
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the configured sweep and aggregate per-algorithm means.
+    """Run every instance of the configured sweep, then average windows of them.
 
-    The ``iterations`` axis is cumulative: a single stream of instances is
-    generated up to the largest requested checkpoint and running means are
-    reported at each checkpoint value.
+    All instances' ``run_single`` arguments are listed, and every sweep value
+    checked, before the first runs. Checkpoint ``c`` of the cumulative
+    ``iterations`` axis averages instances ``[0, c)``. Value ``j`` of any
+    other axis sets its config field in ``n = config.iterations`` instances
+    with axis index ``j`` and averages instances ``[j * n, (j + 1) * n)``.
     """
-    if config.sweep_axis is None or not config.sweep_values:
+    axis = config.sweep_axis
+    if axis is None:
         raise InvalidParameterError("run_sweep requires sweep_axis and sweep_values")
-
-    raw: list[ResultRow] = []
-    aggregates: list[AggregateRow] = []
-
-    if config.sweep_axis == "iterations":
-        checkpoints = [int(v) for v in config.sweep_values]
+    if axis == "iterations":
         if any(v != int(v) or v < 1 for v in config.sweep_values):
             raise InvalidParameterError("iteration checkpoints must be positive integers")
-        checkpoints.sort()
-        per_iteration: list[list[ResultRow]] = []
-        for iteration in range(checkpoints[-1]):
-            rows = run_single(config, iteration, 0, None)
-            per_iteration.append(rows)
-            raw.extend(rows)
-        for checkpoint in checkpoints:
-            window = [r for rows in per_iteration[:checkpoint] for r in rows]
-            aggregates.extend(_aggregate("iterations", float(checkpoint), window))
-        return SweepResult(tuple(raw), tuple(aggregates))
-
-    # Every value is checked before the first instance runs.
-    sub_configs = [_substitute_axis(config, config.sweep_axis, v) for v in config.sweep_values]
-    for axis_index, (value, sub_config) in enumerate(zip(config.sweep_values, sub_configs)):
-        value_rows: list[ResultRow] = []
-        for iteration in range(config.iterations):
-            rows = run_single(sub_config, iteration, axis_index, value)
-            value_rows.extend(rows)
-        raw.extend(value_rows)
-        aggregates.extend(_aggregate(config.sweep_axis, value, value_rows))
-    return SweepResult(tuple(raw), tuple(aggregates))
+        checkpoints = sorted(int(v) for v in config.sweep_values)
+        instances = [(config, i, 0, None) for i in range(checkpoints[-1])]
+        windows = [(float(c), 0, c) for c in checkpoints]
+    else:
+        n = config.iterations
+        instances, windows = [], []
+        for j, value in enumerate(config.sweep_values):
+            sub = _substitute_axis(config, axis, value)
+            instances += [(sub, i, j, value) for i in range(n)]
+            windows.append((value, j * n, (j + 1) * n))
+    results = [run_single(*args) for args in instances]
+    aggregates = []
+    for value, start, end in windows:
+        aggregates += _aggregate(axis, value, results[start:end])
+    raw = tuple(r for instance in results for r in instance)
+    return SweepResult(raw, tuple(aggregates))
 
 
 # Uniform node capacity used for grid feasibility checks; at least the

@@ -54,13 +54,17 @@ class Path:
     edges: tuple[int, ...]
 
     def __post_init__(self):
-        # The exact type test spares the searches' paths the slower full check.
+        # The exact type tests spare the searches' tuples of ints the slower
+        # full check; any other iterable, a one-shot iterator too, is read once.
+        setattr_ = object.__setattr__
         try:
+            if type(self.nodes) is not tuple or type(self.edges) is not tuple:
+                setattr_(self, "nodes", tuple(self.nodes))
+                setattr_(self, "edges", tuple(self.edges))
             exact = all([type(x) is int for x in (*self.nodes, *self.edges)])
         except TypeError as exc:  # nodes or edges not iterable
             raise InvalidParameterError(f"path nodes and links must be sequences: {exc}") from exc
         if not exact:
-            setattr_ = object.__setattr__
             setattr_(self, "nodes", tuple([require_integer("path node", x) for x in self.nodes]))
             setattr_(self, "edges", tuple([require_integer("path link id", x) for x in self.edges]))
         if len(self.nodes) < 2 or len(self.edges) != len(self.nodes) - 1:
@@ -623,7 +627,7 @@ def _min_distance_path(
     g: EntangledGraph,
     src: int,
     dst: int,
-    h: list[float | None] | None = None,
+    h: list[float | None],
 ) -> Path | None:
     """Minimum total physical distance path over unallocated links.
 
@@ -633,9 +637,9 @@ def _min_distance_path(
     over the free paths from dst. Only a corridor is labeled to find it.
 
     ``h`` holds the distances from src over all links, allocated or not
-    (``_distances_from``; computed here when not given). Links are only
-    ever claimed, so they stay lower bounds on every later distance to
-    src. A* labels from dst in ``(g + h, g, node)`` order until src pops.
+    (``_distances_from``). Links are only ever claimed, so they stay lower
+    bounds on every later distance to src. A* labels from dst in
+    ``(g + h, g, node)`` order until src pops.
     Labels are label-correcting: a node whose label improves is pushed
     again, and only then, so each label is the float sum of some free path from dst, never
     below ``dist``, and a node's label equals ``dist`` once every node of
@@ -660,8 +664,6 @@ def _min_distance_path(
     src, dst = _check_endpoints(g, src, dst)
     if not (_has_free_link(g, src) and _has_free_link(g, dst)):
         return None
-    if h is None:
-        h = _distances_from(g, src)
     if h[dst] is None:
         return None
     links = g.links

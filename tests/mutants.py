@@ -149,14 +149,44 @@ MUTANTS = [
     ),
     (
         "harness.py",
-        "per_iteration[:checkpoint]",
-        "per_iteration[:checkpoint - 1]",
+        "windows = [(float(c), 0, c) for c in checkpoints]",
+        "windows = [(float(c), 0, c - 1) for c in checkpoints]",
         ["tests/test_end_to_end.py::test_cumulative_iterations_sweep_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "windows.append((value, j * n, (j + 1) * n))",
+        "windows.append((value, j * n, (j + 1) * n - 1))",
+        ["tests/test_end_to_end.py::test_axis_sweep_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "if any(v != int(v) or v < 1 for v in config.sweep_values):",
+        "if False:",
+        ["tests/test_harness.py::TestRunSweep::test_bad_last_checkpoint_fails_before_any_instance"],
+    ),
+    (
+        "routing.py",
+        "if type(self.nodes) is not tuple or type(self.edges) is not tuple:",
+        "if False:",
+        ["tests/test_routing.py::test_path_reads_nodes_or_links_given_as_other_iterables_once"],
     ),
     (
         "harness.py",
         "RngStream(hash64(child, _STREAM_RMPSA))",
         "RngStream(hash64(child, _STREAM_DEMANDS))",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "RngStream(hash64(child, _STREAM_TOPOLOGY))",
+        "RngStream(hash64(child, _STREAM_ENTANGLEMENT))",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "algorithms = sorted(set(config.algorithms))",
+        "algorithms = list(dict.fromkeys(config.algorithms))",
         ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
     ),
     (

@@ -107,6 +107,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["schedule", "--config", str(bad)]) == 2
 
 
+def test_sweep_bad_iteration_checkpoint_exit_code(config_path, capsys):
+    assert main(["sweep", "--config", config_path, "--axis", "iterations",
+                 "--values", "2,0"]) == 2
+
+
 def test_missing_config_exit_code(capsys):
     assert main(["schedule", "--config", "/nope/missing.json"]) == 2
 

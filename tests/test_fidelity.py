@@ -503,6 +503,13 @@ class TestFidelitySweep:
         with pytest.raises(InvalidParameterError, match=f"{name} must be a list"):
             fidelity_sweep(*grids)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_grid_given_as_a_generator_equals_the_list(self, position):
+        grids = [[2e6, 1e6], [1e6], [2.5, 1.0]]
+        expected = fidelity_sweep(*grids)
+        grids[position] = (value for value in grids[position])
+        assert fidelity_sweep(*grids) == expected
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             fidelity_sweep([], [], [1.0])

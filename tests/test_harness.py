@@ -211,6 +211,22 @@ class TestRunSingle:
             assert row.runtime_ms >= 0.0
 
 
+@pytest.fixture
+def run_single_calls(monkeypatch):
+    """The arguments of every ``run_single`` call made after the fixture starts."""
+    import entroute.harness as harness
+
+    calls = []
+    real = harness.run_single
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_single", counting)
+    return calls
+
+
 class TestRunSweep:
     def test_requires_axis(self):
         with pytest.raises(InvalidParameterError):
@@ -284,25 +300,22 @@ class TestRunSweep:
             ("avg_distance", (5.0, 7.44, -1.0)),
         ],
     )
-    def test_bad_last_value_fails_before_any_instance(self, axis, values, monkeypatch):
-        import entroute.harness as harness
-
-        calls = []
-        real = harness.run_single
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(harness, "run_single", counting)
+    def test_bad_last_value_fails_before_any_instance(self, axis, values, run_single_calls):
         with pytest.raises(InvalidParameterError):
             run_sweep(small_config(sweep_axis=axis, sweep_values=values))
-        assert len(calls) == 0
+        assert len(run_single_calls) == 0
         # The same sweep without its bad value runs every instance.
         run_sweep(small_config(
             algorithms=("smpsa",), iterations=1, sweep_axis=axis, sweep_values=values[:-1]
         ))
-        assert len(calls) == len(values) - 1
+        assert len(run_single_calls) == len(values) - 1
+
+    @pytest.mark.parametrize("last", [0, -1, 2.5])
+    def test_bad_last_checkpoint_fails_before_any_instance(self, last, run_single_calls):
+        config = small_config(sweep_axis="iterations", sweep_values=(2, 3, last))
+        with pytest.raises(InvalidParameterError, match="checkpoints must be positive integers"):
+            run_sweep(config)
+        assert run_single_calls == []
 
     def test_single_iteration_aggregate_equals_row(self):
         config = small_config(

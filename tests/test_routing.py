@@ -512,7 +512,10 @@ class TestStMinCutWarmFlow:
 
 _SEARCHES = {
     "shortest": shortest_entangled_path,
-    "min_distance": routing._min_distance_path,
+    # int() only indexes the distances; the search itself checks the endpoints.
+    "min_distance": lambda g, src, dst: routing._min_distance_path(
+        g, src, dst, routing._distances_from(g, int(src))
+    ),
     "random": lambda g, src, dst: routing._random_simple_path(
         g, src, dst, RngStream(0).words().__next__
     ),
@@ -576,6 +579,17 @@ def test_path_rejects_nodes_or_links_that_are_not_sequences(nodes, edges):
         Path(nodes, edges)
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [(iter((0, 1)), (0,)), ((0, 1), iter((0,))), ([0, 1], [0]), (range(2), (x for x in [0]))],
+    ids=["iterator-nodes", "iterator-links", "lists", "range-and-generator"],
+)
+def test_path_reads_nodes_or_links_given_as_other_iterables_once(nodes, edges):
+    path = Path(nodes, edges)
+    assert path == Path((0, 1), (0,))
+    assert type(path.nodes) is tuple and type(path.edges) is tuple
+
+
 def _free_multigraph(g: EntangledGraph) -> nx.MultiGraph:
     """The unallocated links as a networkx multigraph keyed by link id."""
     multi = nx.MultiGraph()
@@ -616,7 +630,7 @@ class TestPathKernelsAgainstReference:
                 p = shortest_entangled_path(g, src, dst)
                 assert p == shortest_entangled_path_reference(g, src, dst), (
                     case, src, dst)
-                q = routing._min_distance_path(g, src, dst)
+                q = routing._min_distance_path(g, src, dst, routing._distances_from(g, src))
                 assert q == min_distance_path_reference(g, src, dst), (
                     case, src, dst)
                 seen["adjacent"] += multi.number_of_edges(src, dst) > 0
@@ -646,7 +660,7 @@ class TestPathKernelsAgainstReference:
             for src, dst in pairs:
                 assert shortest_entangled_path(h, src, dst) == (
                     shortest_entangled_path_reference(h, src, dst)), (share, src, dst)
-                assert routing._min_distance_path(h, src, dst) == (
+                assert routing._min_distance_path(h, src, dst, routing._distances_from(h, src)) == (
                     min_distance_path_reference(h, src, dst)), (share, src, dst)
 
     def test_near_zero_weight_detour(self):
@@ -658,7 +672,7 @@ class TestPathKernelsAgainstReference:
         """
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)],
                         distances={(0, 1): 1e-20, (1, 2): 1.0, (0, 2): 1.0})
-        p = routing._min_distance_path(g, 0, 2)
+        p = routing._min_distance_path(g, 0, 2, routing._distances_from(g, 0))
         assert p == min_distance_path_reference(g, 0, 2)
         assert p.nodes == (0, 1, 2)
 
@@ -674,7 +688,7 @@ class TestPathKernelsAgainstReference:
             distances={(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (1, 2): 1e-20,
                        (2, 4): 5.0, (3, 4): 10.0},
         )
-        p = routing._min_distance_path(g, 0, 3)
+        p = routing._min_distance_path(g, 0, 3, routing._distances_from(g, 0))
         assert p == min_distance_path_reference(g, 0, 3)
         assert p.nodes == (0, 1, 2, 4, 3)
 
@@ -693,7 +707,7 @@ class TestPathKernelsAgainstReference:
             distances={(0, 6): 0.2, (0, 7): 0.1, (1, 6): 1.0, (2, 3): 1e-16,
                        (2, 4): 0.3, (3, 4): 1e-16, (3, 6): 0.3, (4, 7): 1e-16},
         )
-        p = routing._min_distance_path(g, 6, 4)
+        p = routing._min_distance_path(g, 6, 4, routing._distances_from(g, 6))
         assert p == min_distance_path_reference(g, 6, 4)
         assert p.nodes == (6, 0, 7, 4)
 
@@ -712,7 +726,8 @@ class TestPathKernelsAgainstReference:
             for s, t in ((src, dst), (dst, src)):
                 assert shortest_entangled_path(g, s, t) == (
                     shortest_entangled_path_reference(g, s, t)), case
-                assert _reference_or_error(routing._min_distance_path, g, s, t) == (
+                h = routing._distances_from(g, s)
+                assert _reference_or_error(routing._min_distance_path, g, s, t, h) == (
                     _reference_or_error(min_distance_path_reference, g, s, t)), case
 
 
@@ -739,7 +754,8 @@ def test_min_distance_path_matches_reference_with_extreme_weights(seed):
     for src in range(n):
         for dst in range(n):
             if src != dst:
-                assert _reference_or_error(routing._min_distance_path, g, src, dst) == (
+                h = routing._distances_from(g, src)
+                assert _reference_or_error(routing._min_distance_path, g, src, dst, h) == (
                     _reference_or_error(min_distance_path_reference, g, src, dst))
 
 
@@ -750,7 +766,7 @@ def test_path_lengths_match_networkx(node_count):
         multi = _free_multigraph(g)
         for src, dst in _endpoint_pairs(g, RngStream(node_count).substream(case, 3), 40):
             p = shortest_entangled_path(g, src, dst)
-            q = routing._min_distance_path(g, src, dst)
+            q = routing._min_distance_path(g, src, dst, routing._distances_from(g, src))
             if not nx.has_path(multi, src, dst):
                 assert p is None and q is None, (case, src, dst)
                 continue
