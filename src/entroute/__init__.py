@@ -34,12 +34,7 @@ from .harness import (
     run_single,
     run_sweep,
 )
-from .metrics import (
-    MetricsReport,
-    avg_hop_count,
-    compute_metrics,
-    qubit_depletion_ratio,
-)
+from .metrics import compute_metrics
 from .network import (
     Demand,
     EntangledGraph,
@@ -71,7 +66,6 @@ __all__ = [
     "GridCheckReport",
     "InvalidParameterError",
     "InvariantViolationError",
-    "MetricsReport",
     "NoiseConfig",
     "Path",
     "PhysicalLink",
@@ -83,7 +77,6 @@ __all__ = [
     "allocate_path",
     "apply_dephasing",
     "apply_depolarizing",
-    "avg_hop_count",
     "bell_state",
     "compute_metrics",
     "dmpsa_schedule",
@@ -94,7 +87,6 @@ __all__ = [
     "hash64",
     "load_config",
     "mcsa_schedule",
-    "qubit_depletion_ratio",
     "rmpsa_schedule",
     "run_fidelity",
     "run_grid_check",

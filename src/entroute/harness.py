@@ -290,16 +290,16 @@ def run_single(
         start = time.perf_counter()
         schedule = _run_algorithm(name, graph, demands, rmpsa_rng)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        report = compute_metrics(schedule, net)
+        avg_hop_count, depletion_ratio = compute_metrics(schedule, net)
         rows.append(
             ResultRow(
                 seed=child,
                 algorithm=name,
                 sweep_value=sweep_value,
-                k=report.k,
-                avg_hop_count=report.avg_hop_count,
-                depletion_ratio=report.depletion_ratio,
-                total_paths=report.total_paths,
+                k=schedule.k,
+                avg_hop_count=avg_hop_count,
+                depletion_ratio=depletion_ratio,
+                total_paths=schedule.total_paths,
                 runtime_ms=elapsed_ms,
             )
         )

@@ -451,7 +451,7 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
         raise InvalidParameterError(
             f"rng must be an RngStream, got {type(rng).__name__}"
         )
-    demands = _validate_demands(g, demands)
+    demands = tuple(demands)
     words = {d.id: rng.substream(d.id).words().__next__ for d in demands}
     return _fcfs_schedule(
         g, demands, lambda work, d: _random_simple_path(work, d.src, d.dst, words[d.id])
@@ -510,7 +510,7 @@ def mcsa_schedule(
         else min(capacities[d.src], capacities[d.dst])
         for d in demands
     }
-    active = [d for d in demands if budgets[d.id] > 0]
+    active = list(demands)
     # Each demand's flow of its last ranking, and the links claimed since.
     flows = {d.id: [0] * len(work.links) for d in active}
     claimed: list[int] = []

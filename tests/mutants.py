@@ -195,6 +195,24 @@ MUTANTS = [
         "if alpha < -1:",
         ["tests/test_generation.py::TestGenerateEntanglement::test_rejects_non_finite_alpha"],
     ),
+    (
+        "metrics.py",
+        "(2 * hops) / capacity",
+        "hops / capacity",
+        ["tests/test_metrics.py"],
+    ),
+    (
+        "metrics.py",
+        "hops / paths if paths else 0.0",
+        "hops / paths if paths else 1.0",
+        ["tests/test_metrics.py"],
+    ),
+    (
+        "harness.py",
+        "k=schedule.k,",
+        "k=schedule.total_paths,",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
 ]
 
 EQUIVALENT = [

@@ -203,13 +203,13 @@ def test_c5_depletion_accounting():
             rmpsa_schedule(g, demands, rmpsa_rng),
             dmpsa_schedule(g, demands),
         ):
-            rep = compute_metrics(schedule, net)
+            _, depletion = compute_metrics(schedule, net)
             total_hops = sum(
                 p.hop_count for ps in schedule.paths.values() for p in ps
             )
             # Exact accounting: ratio x C_N = 2 x hops in rational arithmetic.
-            assert rep.depletion_ratio == 2 * total_hops / sum(net.nodes)
-            assert 0.0 <= rep.depletion_ratio <= 1.0
+            assert depletion == 2 * total_hops / sum(net.nodes)
+            assert 0.0 <= depletion <= 1.0
             checked += 1
     report(5, "depletion accounting", True, f"{checked} schedules")
 

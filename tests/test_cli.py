@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entroute import cli
 from entroute.cli import main
+from entroute.errors import GenerationFailureError, InvariantViolationError
+from entroute.harness import load_config, run_single
 
 
 BASE_CONFIG = {
@@ -99,6 +103,37 @@ def test_gridcheck_prints_true(capsys):
     assert main(["gridcheck", "--rows", "5", "--cols", "4", "--demands", "2",
                  "--seed", "3"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_schedule_seed_override(config_path, tmp_path):
+    out = tmp_path / "rows.json"
+    assert main(["schedule", "--config", config_path, "--seed", "7",
+                 "--out", str(out), "--format", "json"]) == 0
+    expected = run_single(dataclasses.replace(load_config(config_path), master_seed=7), 0)
+    rows = json.loads(out.read_text())
+    for row in rows:
+        del row["runtime_ms"]
+    assert rows == [
+        {k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_ms"}
+        for r in expected
+    ]
+    assert [r["seed"] for r in rows] != [r.seed for r in run_single(load_config(config_path), 0)]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (GenerationFailureError, 3, "entroute: generation failure: boom"),
+        (InvariantViolationError, 4, "entroute: internal invariant breach: boom"),
+    ],
+)
+def test_run_failure_exit_codes(error, code, prefix, config_path, monkeypatch, capsys):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_single", fail)
+    assert main(["schedule", "--config", config_path]) == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -212,6 +247,10 @@ def test_console_entry_point(config_path, tmp_path):
         ("algorithms", "smpsa", "algorithms must be a list of names"),
         ("noise", {"distance_km": 50.0}, "unknown noise keys"),
         ("noise", {"source_frequency_hz": 21.05}, "unknown noise keys"),
+        ("node_count", 1, "node_count must be >= 2"),
+        ("iterations", 0, "iterations must be >= 1"),
+        ("algorithms", [], "at least one algorithm must be selected"),
+        ("sweep_values", "3,6", "sweep_values must be a list of numbers"),
     ],
 )
 def test_malformed_field_exit_code(field, value, message, tmp_path, capsys):

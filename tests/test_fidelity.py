@@ -510,6 +510,11 @@ class TestFidelitySweep:
         grids[position] = (value for value in grids[position])
         assert fidelity_sweep(*grids) == expected
 
+    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    def test_non_positive_distance_rejected(self, distance):
+        with pytest.raises(InvalidParameterError, match="distances must be positive"):
+            fidelity_sweep([1.0], [1.0], [2.5, distance])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             fidelity_sweep([], [], [1.0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroute import generation
-from entroute.errors import InvalidParameterError
+from entroute.errors import GenerationFailureError, InvalidParameterError
 from entroute.generation import (
     generate_entanglement,
     generate_grid,
@@ -84,6 +84,20 @@ class TestGenerateTopology:
     def test_rejects_non_finite_averages(self, distance, capacity):
         with pytest.raises(InvalidParameterError):
             generate_topology(10, distance, capacity, RngStream(0))
+
+    @pytest.mark.parametrize("distance, capacity, message", [
+        (0.0, 3, "average distance must be positive"),
+        (-1.0, 3, "average distance must be positive"),
+        (7.44, 0.5, "average capacity must be >= 1"),
+    ])
+    def test_rejects_out_of_range_averages(self, distance, capacity, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            generate_topology(10, distance, capacity, RngStream(0))
+
+    def test_spent_retry_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(generation, "_is_connected", lambda *args: False)
+        with pytest.raises(GenerationFailureError, match="no connected graph on 10 nodes"):
+            generate_topology(10, 7.44, 3, RngStream(0))
 
 
 def test_distances_saturate_at_the_largest_float_over_n():
@@ -183,6 +197,10 @@ class TestGenerateGrid:
     def test_rejects_non_integer_capacity(self, capacity):
         with pytest.raises(InvalidParameterError, match="capacity must be an integer"):
             generate_grid(3, 3, 1.0, capacity)
+
+    def test_rejects_zero_capacity(self):
+        with pytest.raises(InvalidParameterError, match="capacity must be >= 1, got 0"):
+            generate_grid(3, 3, 1.0, 0)
 
     def test_accepts_integer_distance_and_numpy_capacity(self):
         net = generate_grid(3, 3, 2, np.int64(4))

@@ -115,6 +115,7 @@ class TestExperimentConfig:
             ("algorithms", ["smpsa", 3]),
             ("sweep_values", (3, math.inf)),
             ("noise", {"distance_km": 1.0}),
+            ("noise", "x"),
         ],
     )
     def test_rejects_wrong_type_or_non_finite(self, field, value):
@@ -142,6 +143,15 @@ class TestExperimentConfig:
     def test_load_config_unknown_name(self):
         with pytest.raises(InvalidParameterError, match="config not found: fig99"):
             load_config("fig99")
+
+    @pytest.mark.parametrize(
+        "text, message", [("{", "cannot read config"), ("[]", "config root must be a JSON object")]
+    )
+    def test_load_config_rejects_a_file_that_is_not_a_config_object(self, text, message, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match=message):
+            load_config(str(path))
 
 
 class TestRunSingle:
@@ -470,6 +480,10 @@ class TestGridCheck:
     def test_column_precondition(self):
         with pytest.raises(InvalidParameterError):
             run_grid_check(9, 2, 3, 0)
+
+    def test_demand_count_must_be_positive(self):
+        with pytest.raises(InvalidParameterError, match="demand_count must be >= 1"):
+            run_grid_check(7, 5, 0, 0)
 
     @pytest.mark.parametrize(
         "args", [(7, 5, 2, 2.5), (7, 5, 2.5, 42), (7.0, 5, 2, 2), (7, 5.0, 2, 2)]

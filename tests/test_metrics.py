@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_topology
-from entroute.metrics import (
-    avg_hop_count,
-    compute_metrics,
-    qubit_depletion_ratio,
-)
+from entroute.metrics import compute_metrics
 from entroute.network import Demand, PhysicalLink, PhysicalNetwork
 from entroute.routing import Path, RoutingSchedule, smpsa_schedule
 from entroute.rng import RngStream
@@ -52,33 +48,39 @@ class TestComputeK:
         with pytest.raises(InvalidParameterError, match="no demands"):
             RoutingSchedule({}).k
         net = PhysicalNetwork((5, 5), (PhysicalLink(0, 1, 1.0),))
-        with pytest.raises(InvalidParameterError, match="no demands"):
-            compute_metrics(RoutingSchedule({}), net)
+        # compute_metrics reads no k, so an empty schedule scores zero.
+        assert compute_metrics(RoutingSchedule({}), net) == (0.0, 0.0)
+
+
+def _avg_hop_count(schedule):
+    # Each schedule here holds at most 7 hops, within the capacity of 14.
+    net = PhysicalNetwork((7, 7), (PhysicalLink(0, 1, 1.0),))
+    return compute_metrics(schedule, net)[0]
 
 
 class TestAvgHopCount:
     def test_empty(self):
-        assert avg_hop_count(_schedule_with({0: []})) == 0.0
+        assert _avg_hop_count(_schedule_with({0: []})) == 0.0
 
     def test_mean(self):
         schedule = _schedule_with(
             {0: [((0, 1, 2), (0, 1)), ((0, 3, 4, 5, 2), (2, 3, 4, 5))]}
         )
-        assert avg_hop_count(schedule) == 3.0
+        assert _avg_hop_count(schedule) == 3.0
 
     def test_single_hop(self):
-        assert avg_hop_count(_schedule_with({0: [((0, 1), (0,))]})) == 1.0
+        assert _avg_hop_count(_schedule_with({0: [((0, 1), (0,))]})) == 1.0
 
 
 class TestDepletionRatio:
     def test_no_allocations(self):
         net = PhysicalNetwork((5, 5), (PhysicalLink(0, 1, 1.0),))
-        assert qubit_depletion_ratio(_schedule_with({0: []}), net) == 0.0
+        assert compute_metrics(_schedule_with({0: []}), net) == (0.0, 0.0)
 
     def test_two_hop_path_on_capacity_twenty(self):
         net = PhysicalNetwork((5,) * 4, (PhysicalLink(0, 1, 1.0), PhysicalLink(1, 2, 1.0)))
         schedule = _schedule_with({0: [((0, 1, 2), (0, 1))]})
-        assert qubit_depletion_ratio(schedule, net) == pytest.approx(0.2)
+        assert compute_metrics(schedule, net) == (2.0, pytest.approx(0.2))
 
     def test_saturated_generation_consumes_all_entangled_qubits(self):
         # p_s = 1: every slot pair becomes a link; allocate everything via a
@@ -89,13 +91,15 @@ class TestDepletionRatio:
             {0: [Path((link.u, link.v), (lid,)) for lid, link in enumerate(g.links)]}
         )
         expected = Fraction(2 * len(g.links), sum(net.nodes))
-        assert qubit_depletion_ratio(schedule, net) == pytest.approx(float(expected))
-        assert qubit_depletion_ratio(schedule, net) <= 1.0
+        avg_hops, depletion = compute_metrics(schedule, net)
+        assert avg_hops == 1.0
+        assert depletion == pytest.approx(float(expected))
+        assert depletion <= 1.0
 
     def test_zero_capacity_rejected(self):
         net = PhysicalNetwork((), ())
-        with pytest.raises(InvalidParameterError):
-            qubit_depletion_ratio(_schedule_with({0: []}), net)
+        with pytest.raises(InvalidParameterError, match="capacity must be positive"):
+            compute_metrics(_schedule_with({0: []}), net)
 
 
 @settings(max_examples=25, deadline=None)
@@ -107,9 +111,11 @@ def test_consumption_accounting_property(seed):
     g = generate_entanglement(net, 0.03, rng.substream(1))
     demands = (Demand(0, 0, n - 1), Demand(1, 1, n - 2))
     schedule = smpsa_schedule(g, demands)
-    report = compute_metrics(schedule, net)
+    avg_hops, depletion = compute_metrics(schedule, net)
     total_hops = sum(p.hop_count for ps in schedule.paths.values() for p in ps)
-    assert report.depletion_ratio == 2 * total_hops / sum(net.nodes)
-    assert 0.0 <= report.depletion_ratio <= 1.0
-    assert report.k == min(len(schedule.paths[d.id]) for d in demands)
-    assert report.k == 0 or all(len(schedule.paths[d.id]) > 0 for d in demands)
+    total_paths = sum(len(ps) for ps in schedule.paths.values())
+    assert avg_hops == (total_hops / total_paths if total_paths else 0.0)
+    assert depletion == 2 * total_hops / sum(net.nodes)
+    assert 0.0 <= depletion <= 1.0
+    assert schedule.k == min(len(schedule.paths[d.id]) for d in demands)
+    assert schedule.k == 0 or all(len(schedule.paths[d.id]) > 0 for d in demands)

@@ -91,6 +91,22 @@ class TestSmpsa:
             smpsa_schedule(four_cycle, ())
 
 
+@pytest.mark.parametrize("demands, message", [
+    ((Demand(0, 0, 4),), "endpoint outside graph: src=0 dst=4"),
+    ((Demand(0, 0, 1), Demand(0, 2, 3)), "duplicate demand id 0"),
+])
+@pytest.mark.parametrize("schedule", ["smpsa", "mcsa", "rmpsa", "dmpsa"])
+def test_malformed_demands_rejected(four_cycle, demands, message, schedule):
+    run = {
+        "smpsa": smpsa_schedule,
+        "mcsa": mcsa_schedule,
+        "rmpsa": lambda g, ds: rmpsa_schedule(g, ds, RngStream(0)),
+        "dmpsa": dmpsa_schedule,
+    }[schedule]
+    with pytest.raises(InvalidParameterError, match=message):
+        run(four_cycle, demands)
+
+
 class TestMcsa:
     def test_triple_parallel_capped_by_capacity(self):
         g = build_graph(2, [(0, 1), (0, 1), (0, 1)], capacities=[2, 2])
