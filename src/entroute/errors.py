@@ -4,7 +4,7 @@ The CLI maps these onto process exit codes: invalid parameters and bad
 configs exit 2, topology generation failures exit 3, and internal
 invariant breaches exit 4.  ``require_integer`` and ``require_finite`` are
 the type checks that configs and generators run on numeric inputs before
-any range check; ``require_integer`` also returns the value as an ``int``.
+any range check; each returns the value as an ``int`` or a ``float``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
-def require_finite(name: str, value) -> None:
-    """Reject anything but a finite real number; bools, NaN and infinities too."""
+def require_finite(name: str, value) -> float:
+    """``value`` as a ``float`` (NumPy floats, ints and Fractions too); reject bools, NaN and inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
     try:
@@ -44,3 +44,4 @@ def require_finite(name: str, value) -> None:
         finite = False
     if not finite:
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return float(value)

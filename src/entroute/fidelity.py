@@ -131,7 +131,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            require_finite(f"noise.{f.name}", getattr(self, f.name))
+            object.__setattr__(self, f.name, require_finite(f"noise.{f.name}", getattr(self, f.name)))
         if self.dephasing_rate_hz < 0 or self.depolarization_rate_hz < 0:
             raise InvalidParameterError("noise rates must be >= 0")
         if self.propagation_speed_km_per_s <= 0:
@@ -300,14 +300,12 @@ def fidelity_sweep(
             values = list(values)  # read once: a grid may be a one-shot iterator
         except TypeError as exc:
             raise InvalidParameterError(f"{name}s must be a list: {exc}") from exc
-        for value in values:
-            # The exact type test spares float callers the slower full check.
-            if type(value) is not float or not math.isfinite(value):
-                require_finite(name, value)
-        values.sort()
-        grids.append(values)
+        # The exact type test spares float callers the slower full check.
+        grids.append(sorted([
+            v if type(v) is float and math.isfinite(v) else require_finite(name, v) for v in values
+        ]))
     dephasing_rates_hz, depolarization_rates_hz, distances_km = grids
-    require_finite("propagation speed", propagation_speed_km_per_s)
+    propagation_speed_km_per_s = require_finite("propagation speed", propagation_speed_km_per_s)
     if propagation_speed_km_per_s <= 0:
         raise InvalidParameterError("propagation speed must be positive")
     if not distances_km or not (dephasing_rates_hz or depolarization_rates_hz):

@@ -81,8 +81,8 @@ def generate_topology(
 ) -> PhysicalNetwork:
     """Connected random network with the requested average distance/capacity."""
     node_count = require_integer("node_count", node_count)
-    require_finite("avg_distance_km", avg_distance_km)
-    require_finite("avg_capacity", avg_capacity)
+    avg_distance_km = require_finite("avg_distance_km", avg_distance_km)
+    avg_capacity = require_finite("avg_capacity", avg_capacity)
     if node_count < 2:
         raise InvalidParameterError(f"need at least 2 nodes, got {node_count}")
     if avg_distance_km <= 0:
@@ -111,12 +111,11 @@ def generate_topology(
         )
 
     # Distances and capacities are monotone transforms of raw uniforms so
-    # that sweeping the averages preserves per-seed orderings.  float() is
-    # the conversion Python applies to an int operand of a float product.
-    # Distances saturate at the largest float over the node count: a simple
+    # that sweeping the averages preserves per-seed orderings.  Distances
+    # saturate at the largest float over the node count: a simple
     # path has at most n - 1 links, so no path length overflows to inf.
     with np.errstate(over="ignore"):
-        distances = (0.5 + rng.random_array(len(us))) * float(avg_distance_km)
+        distances = (0.5 + rng.random_array(len(us))) * avg_distance_km
     distances = np.minimum(distances, sys.float_info.max / node_count)
     links = tuple(map(PhysicalLink._make, zip(us, vs, distances.tolist())))
     cap_max = max(1, round(2.0 * avg_capacity - 1.0))
@@ -133,7 +132,7 @@ def generate_grid(
     capacity = require_integer("capacity", capacity)
     # Floats go straight to the range check, which also rejects NaN and inf.
     if type(distance_km) is not float:
-        require_finite("distance_km", distance_km)
+        distance_km = require_finite("distance_km", distance_km)
     if rows < 2 or cols < 2:
         raise InvalidParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
     if capacity < 1:
@@ -187,7 +186,7 @@ def generate_entanglement(
     their qubits and are not retried. Each Bell pair is recorded as the
     physical link it was generated over.
     """
-    require_finite("alpha", alpha)
+    alpha = require_finite("alpha", alpha)
     if alpha < 0:
         raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
 

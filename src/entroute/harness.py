@@ -86,7 +86,7 @@ class ExperimentConfig:
         for name in ("node_count", "demand_count", "iterations", "master_seed"):
             object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         for name in ("avg_capacity", "avg_distance_km", "alpha_per_km"):
-            require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         # A bare string would otherwise be read one character per name.
         if not isinstance(self.algorithms, (list, tuple)):
             raise InvalidParameterError(
@@ -96,6 +96,7 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"sweep_values must be a list of numbers, got {self.sweep_values!r}"
             )
+        # Checked, not converted: rows echo them, so an int stays an int.
         for value in self.sweep_values:
             require_finite("sweep_values", value)
         if not isinstance(self.noise, NoiseConfig):
@@ -453,7 +454,11 @@ AGGREGATE_CSV_HEADER = (
 
 
 def _format_sweep_value(value: float | None) -> str:
-    return "" if value is None else f"{value:g}"
+    """Empty for None, else ``:g`` if that reads back as the same float, else ``repr``."""
+    if value is None:
+        return ""
+    text = f"{value:g}"
+    return text if float(text) == float(value) else repr(float(value))
 
 
 def write_raw_csv(rows, out) -> None:
@@ -471,7 +476,7 @@ def write_aggregate_csv(aggregates, out) -> None:
     out.write(AGGREGATE_CSV_HEADER + "\n")
     for a in aggregates:
         out.write(
-            f"{a.sweep_axis},{a.sweep_value:g},{a.algorithm},{a.iterations},"
+            f"{a.sweep_axis},{_format_sweep_value(a.sweep_value)},{a.algorithm},{a.iterations},"
             f"{a.mean_k:.6f},{a.mean_avg_hop_count:.6f},"
             f"{a.mean_depletion_ratio:.6f},{a.mean_total_paths:.6f}\n"
         )

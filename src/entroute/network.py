@@ -10,14 +10,15 @@ is generated over one fiber, so the multigraph stores it as that fiber's own
 endpoints and distance.
 
 Links are ``NamedTuple`` records that ``PhysicalNetwork`` checks in one loop
-and stores with int endpoints and ``u < v``; a record already in that form,
-as every generated one is, is kept as the same object. Records, demands and
-both graph types are immutable, and graphs hold the node capacities, links
-and entangled adjacency in tuples. The one mutable state is
-``EntangledGraph.allocated``, a list of one flag per link id that flips in
-place when a routing path claims the link; ``EntangledGraph.copy`` gives
-each scheduler run its own flags. Since nothing that ``to_json`` writes can
-change, an entangled graph builds its JSON text once.
+and stores with int endpoints, ``u < v`` and a float distance; a record
+already in that form, as every generated one is, is kept as the same
+object. Records, demands and both graph types are immutable, and graphs hold
+the node capacities, links and entangled adjacency in tuples. The one
+mutable state is ``EntangledGraph.allocated``, a list of one flag per link
+id that flips in place when a routing path claims the link;
+``EntangledGraph.copy`` gives each scheduler run its own flags. Since
+nothing that ``to_json`` writes can change, an entangled graph builds its
+JSON text once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class PhysicalNetwork:
             if not (type(u) is int and type(v) is int and type(distance) is float):
                 u = require_integer("link endpoint", u)
                 v = require_integer("link endpoint", v)
-                require_finite("link distance", distance)
+                distance = require_finite("link distance", distance)
+                link = None  # not canonical: rebuilt below
             if u == v:
                 raise InvalidParameterError(f"self-loop at node {u}")
             if not 0 < distance < inf:
@@ -73,13 +75,14 @@ class PhysicalNetwork:
                 )
             if u > v:
                 u, v = v, u
+                link = None
             if u < 0 or v >= len(nodes):
                 raise InvalidParameterError(f"link ({u},{v}) references unknown node")
             pair = (u, v)
             if pair in seen_pairs:
                 raise InvalidParameterError(f"duplicate physical link {pair}")
             seen_pairs.add(pair)
-            if type(link) is not PhysicalLink or u is not link[0] or v is not link[1]:
+            if type(link) is not PhysicalLink:
                 link = PhysicalLink(u, v, distance)
             links.append(link)
         object.__setattr__(self, "links", tuple(links))
@@ -89,15 +92,8 @@ class PhysicalNetwork:
         nodes = ",".join(
             [f'{{"id":{i},"capacity":{c}}}' for i, c in enumerate(self.nodes)]
         )
-        # json.dumps writes any float, NumPy float64 included, with
-        # float.__repr__ and an int with its plain digits.
-        float_repr = float.__repr__
         links = ",".join(
-            [
-                f'{{"u":{l.u},"v":{l.v},"distance_km":'
-                f"{float_repr(l.distance_km) if isinstance(l.distance_km, float) else l.distance_km}}}"
-                for l in self.links
-            ]
+            [f'{{"u":{l.u},"v":{l.v},"distance_km":{l.distance_km!r}}}' for l in self.links]
         )
         return f'"nodes":[{nodes}],"links":[{links}]'
 

@@ -652,7 +652,8 @@ def _min_distance_path(
     has a node v on its tree path whose exact entry is still in the heap,
     so ``dist[v] + h[v]`` is at least the heap minimum K. Consistency of h
     along the path from v through y to here, with every float sum within a
-    factor ``1 +- 2**-53`` of the real one and at most n of them on a path,
+    factor ``1 +- 2**-53`` of the real one (the network stores distances as
+    Python floats, so sums round in float64) and at most n of them on a path,
     gives ``K <= (1 + (2n + 4) * 2**-53) * (w + dist[y] + h[here])``. With
     the slack above that, a neighbor that is not exact keys above ``best``,
     so every neighbor that could win or tie is exact and the step equals

@@ -95,9 +95,24 @@ MUTANTS = [
     ),
     (
         "network.py",
-        "if type(link) is not PhysicalLink or u is not link[0] or v is not link[1]:",
+        "if type(link) is not PhysicalLink:",
         "if True:",
         ["tests/test_network.py"],
+    ),
+    (
+        "network.py",
+        "                link = None  # not canonical: rebuilt below\n",
+        "",
+        ["tests/test_network.py::test_canonical_links_are_stored_as_they_are"],
+    ),
+    (
+        "errors.py",
+        "return float(value)",
+        "return value",
+        [
+            "tests/test_network.py::TestSerializerOracle::test_hand_built_distances",
+            "tests/test_harness.py::TestExperimentConfig::test_real_fields_are_stored_as_floats",
+        ],
     ),
     (
         "generation.py",
@@ -185,6 +200,30 @@ MUTANTS = [
     ),
     (
         "harness.py",
+        "RngStream(hash64(child, _STREAM_ENTANGLEMENT))",
+        "RngStream(hash64(child, _STREAM_DEMANDS))",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "RngStream(hash64(child, _STREAM_DEMANDS))",
+        "RngStream(hash64(child, _STREAM_TOPOLOGY))",
+        ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        "RngStream(hash64(seed, _STREAM_DEMANDS))",
+        "RngStream(hash64(seed, _STREAM_TOPOLOGY))",
+        ["tests/test_harness.py::TestGridCheck::test_demand_columns_come_from_substream_2"],
+    ),
+    (
+        "harness.py",
+        "return text if float(text) == float(value) else repr(float(value))",
+        "return text",
+        ["tests/test_harness.py::TestCsvWriters::test_sweep_labels_read_back_as_their_values"],
+    ),
+    (
+        "harness.py",
         "algorithms = sorted(set(config.algorithms))",
         "algorithms = list(dict.fromkeys(config.algorithms))",
         ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
@@ -227,6 +266,13 @@ EQUIVALENT = [
         "label_up_to): the exactness argument in _min_distance_path's "
         "docstring needs re-opens, but 60,000 random cases did not catch "
         "this mutant, so no test pins them",
+    ),
+    (
+        "harness.py",
+        "RngStream(hash64(seed, _STREAM_ENTANGLEMENT))",
+        "RngStream(hash64(seed, _STREAM_DEMANDS))",
+        "the grid check's entanglement stream: it generates at alpha 0, where "
+        "every attempt succeeds whatever word it draws",
     ),
 ]
 

@@ -1,6 +1,8 @@
 import io
 import math
 import types
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +332,16 @@ class TestNoiseConfig:
         with pytest.raises(InvalidParameterError):
             NoiseConfig(dephasing_rate_hz=value)
 
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32(2.5e5), np.float64(7.44), 3, Fraction(7, 3)],
+        ids=["float32", "float64", "int", "fraction"],
+    )
+    def test_fields_are_stored_as_floats(self, value):
+        noise = NoiseConfig(value, value, value)
+        assert [type(v) for v in astuple(noise)] == [float] * 3
+        assert astuple(noise) == (float(value),) * 3
+
 
 class TestDephasing:
     def test_zero_rate_is_identity(self):
@@ -514,6 +526,15 @@ class TestFidelitySweep:
     def test_non_positive_distance_rejected(self, distance):
         with pytest.raises(InvalidParameterError, match="distances must be positive"):
             fidelity_sweep([1.0], [1.0], [2.5, distance])
+
+    def test_float32_grids_give_the_rows_of_their_floats(self):
+        rates = np.array([1e3, 1e6, 2.5e8], dtype=np.float32)
+        distances = np.array([7.44, 0.5, 2.5], dtype=np.float32)
+        speed = np.float32(2e5)
+        rows = fidelity_sweep(rates, rates[:2], distances, speed)
+        as_floats = [[float(v) for v in grid] for grid in (rates, rates[:2], distances)]
+        assert rows == fidelity_sweep(*as_floats, float(speed))
+        assert all(type(r.rate_hz) is float and type(r.distance_km) is float for r in rows)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParameterError):

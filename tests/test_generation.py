@@ -1,6 +1,7 @@
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestGenerateTopology:
         a = generate_topology(40, 12.87, 5.05, RngStream(3))
         b = generate_topology(40, 12.87, 5.05, RngStream(3))
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize(
+        "distance, capacity",
+        [(np.float32(7.44), np.float32(5.05)), (Fraction(37, 5), Fraction(101, 20)), (7, 5)],
+        ids=["float32", "fraction", "int"],
+    )
+    def test_averages_give_the_network_of_their_floats(self, distance, capacity):
+        net = generate_topology(40, distance, capacity, RngStream(3))
+        assert net == generate_topology(40, float(distance), float(capacity), RngStream(3))
+        assert all(type(l.distance_km) is float for l in net.links)
 
     def test_distance_bounds(self):
         net = generate_topology(60, 10.0, 4, RngStream(2))
@@ -208,6 +219,15 @@ class TestGenerateGrid:
         assert net.nodes == (4,) * 9
         assert all(type(capacity) is int for capacity in net.nodes)
 
+    @pytest.mark.parametrize(
+        "distance", [2, np.float32(0.1), np.float64(7.44), Fraction(1, 3)],
+        ids=["int", "float32", "float64", "fraction"],
+    )
+    def test_stores_the_distance_as_a_float(self, distance):
+        net = generate_grid(3, 4, distance, 4)
+        assert all(type(l.distance_km) is float for l in net.links)
+        assert net == generate_grid(3, 4, float(distance), 4)
+
 
 def _line_network(capacities, distance=1.0):
     links = tuple(
@@ -261,6 +281,14 @@ class TestGenerateEntanglement:
             for alpha in (0.3, 0.1, 0.05, 0.0)
         ]
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize(
+        "alpha", [np.float32(0.05), Fraction(1, 20), 0], ids=["float32", "fraction", "int"]
+    )
+    def test_alpha_gives_the_graph_of_its_float(self, alpha):
+        net = generate_topology(60, 7.44, 5, RngStream(11))
+        graph = generate_entanglement(net, alpha, RngStream(99))
+        assert graph.links == generate_entanglement(net, float(alpha), RngStream(99)).links
 
     def test_deterministic(self):
         net = generate_topology(30, 7.44, 5, RngStream(11))

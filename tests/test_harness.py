@@ -3,11 +3,14 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entroute
+from entroute import harness
 from entroute.errors import InvalidParameterError
 from entroute.fidelity import NoiseConfig
 from entroute.harness import (
@@ -22,6 +25,7 @@ from entroute.harness import (
     write_aggregate_csv,
     write_raw_csv,
 )
+from entroute.rng import RngStream
 
 from conftest import build_graph
 
@@ -122,6 +126,22 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32(2.5), np.float64(7.44), 3, Fraction(7, 3)],
+        ids=["float32", "float64", "int", "fraction"],
+    )
+    def test_real_fields_are_stored_as_floats(self, value):
+        config = small_config(avg_capacity=value, avg_distance_km=value, alpha_per_km=value)
+        for name in ("avg_capacity", "avg_distance_km", "alpha_per_km"):
+            assert type(getattr(config, name)) is float
+            assert getattr(config, name) == float(value)
+
+    def test_sweep_values_are_kept_as_given(self):
+        # Raw rows echo them, so fig5c's 50 stays an int.
+        config = small_config(sweep_axis="node_count", sweep_values=[50, 100])
+        assert [type(v) for v in config.sweep_values] == [int, int]
+
     def test_load_config_missing_file(self):
         with pytest.raises(InvalidParameterError):
             load_config("/nonexistent/config.json")
@@ -168,6 +188,12 @@ class TestRunSingle:
     def test_different_iterations_differ(self):
         config = small_config()
         assert run_single(config, 0) != run_single(config, 1)
+
+    @pytest.mark.parametrize("iteration", [0, 1, 2])
+    def test_float32_alpha_gives_the_rows_of_its_float(self, iteration):
+        alpha = np.float32(0.05)
+        rows = run_single(small_config(alpha_per_km=alpha), iteration)
+        assert rows == run_single(small_config(alpha_per_km=float(alpha)), iteration)
 
     @pytest.mark.parametrize(
         "indices", [(1.5,), (1.0,), (True,), ("1",), (0, "a"), (0, 1.0), (0, False)]
@@ -463,6 +489,31 @@ class TestCsvWriters:
         assert a.getvalue() == b.getvalue()
         assert a.getvalue().splitlines()[0] == AGGREGATE_CSV_HEADER
 
+    def test_sweep_labels_read_back_as_their_values(self):
+        # Both values print as 7.44123 through :g.
+        values = (7.4412345, 7.4412349)
+        result = run_sweep(small_config(
+            algorithms=("smpsa",), iterations=1,
+            sweep_axis="avg_distance", sweep_values=values,
+        ))
+        raw, aggregate = io.StringIO(), io.StringIO()
+        write_raw_csv(result.raw_rows, raw)
+        write_aggregate_csv(result.aggregates, aggregate)
+        raw_labels = [line.split(",")[2] for line in raw.getvalue().splitlines()[1:]]
+        aggregate_labels = [line.split(",")[1] for line in aggregate.getvalue().splitlines()[1:]]
+        assert raw_labels == aggregate_labels == ["7.4412345", "7.4412349"]
+        assert tuple(map(float, raw_labels)) == values
+
+    @pytest.mark.parametrize(
+        "value, label",
+        [(50, "50"), (5.05, "5.05"), (2.0, "2"), (1e-7, "1e-07"), (np.float32(7.44), "7.440000057220459"),
+         (0.1 + 0.2, "0.30000000000000004"), (2**60 + 1, "1.152921504606847e+18")],
+    )
+    def test_sweep_label_is_short_only_when_it_reads_back(self, value, label):
+        out = io.StringIO()
+        write_aggregate_csv([harness.AggregateRow("avg_capacity", value, "smpsa", 1, 0, 0, 0, 0)], out)
+        assert out.getvalue().splitlines()[1].split(",")[1] == label
+
 
 class TestGridCheck:
     def test_minimal_grid_single_demand(self):
@@ -484,6 +535,28 @@ class TestGridCheck:
     def test_demand_count_must_be_positive(self):
         with pytest.raises(InvalidParameterError, match="demand_count must be >= 1"):
             run_grid_check(7, 5, 0, 0)
+
+    @pytest.mark.parametrize(
+        "rows, cols, demand_count, seed", [(3, 3, 1, 0), (7, 9, 4, 5), (10, 10, 5, 2**64 - 1)]
+    )
+    def test_demand_columns_come_from_substream_2(
+        self, monkeypatch, rows, cols, demand_count, seed
+    ):
+        # The report holds only path counts, which read 1 for any columns.
+        received = []
+        schedule = harness.mcsa_schedule
+
+        def spy(graph, demands, **kwargs):
+            received.append(demands)
+            return schedule(graph, demands, **kwargs)
+
+        monkeypatch.setattr(harness, "mcsa_schedule", spy)
+        run_grid_check(rows, cols, demand_count, seed)
+        columns = RngStream(seed).substream(2).sample(cols, demand_count)
+        [demands] = received
+        assert [(d.id, d.src, d.dst) for d in demands] == [
+            (i, c, (rows - 1) * cols + c) for i, c in enumerate(columns)
+        ]
 
     @pytest.mark.parametrize(
         "args", [(7, 5, 2, 2.5), (7, 5, 2.5, 42), (7.0, 5, 2, 2), (7, 5.0, 2, 2)]

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,17 +87,28 @@ def test_link_accepts_numpy_endpoints_and_integer_distance():
     assert (link.u, link.v, link.distance_km) == (1, 3, 2)
     assert type(link) is PhysicalLink
     assert type(link.u) is int and type(link.v) is int
+    assert type(link.distance_km) is float
     assert net.to_json() == graph_to_json_reference(net)
 
 
 def test_canonical_links_are_stored_as_they_are():
     # Every generated link is canonical, so EntangledGraph's identity check
-    # finds the generator's own records in the network.
-    canonical = (PhysicalLink(0, 1, 1.0), PhysicalLink(2, 5, 3), PhysicalLink(1, 4, np.float64(2.5)))
-    net = _network_of(*canonical, PhysicalLink(np.int64(0), 3, 1.0), PhysicalLink(5, 1, 1.0))
+    # finds the generator's own records in the network. A canonical record
+    # has int endpoints, u < v and a float distance.
+    canonical = (PhysicalLink(0, 1, 1.0), PhysicalLink(2, 5, 3.0), PhysicalLink(1, 4, 2.5))
+    others = (
+        PhysicalLink(np.int64(0), 3, 1.0),
+        PhysicalLink(5, 1, 1.0),
+        PhysicalLink(2, 4, 3),
+        PhysicalLink(3, 5, np.float64(2.5)),
+        (0, 2, 1.5),
+    )
+    net = _network_of(*canonical, *others)
     assert all(stored is link for stored, link in zip(net.links, canonical))
-    assert net.links[3:] == ((0, 3, 1.0), (1, 5, 1.0))
-    graph = EntangledGraph([net.links[4], net.links[1], net.links[3]], net)
+    assert not any(stored is link for stored, link in zip(net.links[3:], others))
+    assert net.links[3:] == ((0, 3, 1.0), (1, 5, 1.0), (2, 4, 3.0), (3, 5, 2.5), (0, 2, 1.5))
+    assert all(type(l) is PhysicalLink and type(l.distance_km) is float for l in net.links)
+    graph = EntangledGraph([net.links[4], net.links[1], net.links[3], net.links[6]], net)
     assert graph.to_json() == graph_to_json_reference(graph)
     with pytest.raises(InvalidParameterError, match="not a link of the physical"):
         EntangledGraph([PhysicalLink(5, 1, 1.0)], net)
@@ -241,14 +253,19 @@ class TestSerializerOracle:
             sys.float_info.max / 3,
             5,
             np.float64(7.44),
+            np.float32(0.1),
+            Fraction(1, 3),
+            2**60 + 1,
         ],
     )
     def test_hand_built_distances(self, distance):
-        nodes = (3, 2, 1)
-        plinks = (PhysicalLink(0, 1, distance), PhysicalLink(1, 2, 2.5))
-        self.assert_matches(
-            EntangledGraph([plinks[0], plinks[0]], PhysicalNetwork(nodes, plinks))
-        )
+        # The network stores a float for any real distance, so the entangled
+        # links are taken from its records, not from the ones given.
+        net = PhysicalNetwork((3, 2, 1), (PhysicalLink(0, 1, distance), PhysicalLink(1, 2, 2.5)))
+        assert type(net.links[0].distance_km) is float
+        graph = EntangledGraph([net.links[0], net.links[0]], net)
+        assert json.loads(graph.to_json())["links"][0]["distance_km"] == float(distance)
+        self.assert_matches(graph)
 
 
 def _seed42_sweep_nodes_graph():

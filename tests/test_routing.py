@@ -5,7 +5,7 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entroute import routing
 from entroute.errors import InvalidParameterError, InvariantViolationError
@@ -756,6 +756,49 @@ def test_min_distance_path_matches_reference_with_extreme_weights(seed):
             if src != dst:
                 h = routing._distances_from(g, src)
                 assert _reference_or_error(routing._min_distance_path, g, src, dst, h) == (
+                    _reference_or_error(min_distance_path_reference, g, src, dst))
+
+
+def test_float32_distances_add_up_as_floats():
+    """A float32 distance is stored as a float, so sums round in float64.
+
+    As floats, 0.1f + 0.2f is below 0.3f and 0-2-1 is shorter than the
+    direct link 0-1. Added in float32, as NumPy 2 adds a float32 to a
+    float, the two tie and the search took the direct link.
+    """
+    f32 = np.float32
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)],
+                    distances={(0, 1): f32(0.3), (1, 2): f32(0.2), (0, 2): f32(0.1)})
+    p = routing._min_distance_path(g, 0, 1, routing._distances_from(g, 0))
+    assert p.nodes == (0, 2, 1)
+    assert dmpsa_schedule(g, [Demand(0, 0, 1)]).paths[0][0] == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+@example(1200)
+@example(97)
+def test_min_distance_path_with_float32_weights_matches_reference_with_floats(seed):
+    """Decimal float32 weights, whose float sums nearly tie, against full Dijkstra.
+
+    The reference runs on the same graph with each weight given as the
+    float of its float32, which the network stores for either.
+    """
+    rng = RngStream(seed)
+    n, edges, _, _ = _random_multigraph(rng, max_nodes=9, max_edges=18)
+    weights = (0.1, 0.2, 0.3, 0.7, 1.0, 1.3)
+    chosen = {pair: np.float32(weights[rng.randrange(len(weights))]) for pair in sorted(set(edges))}
+    g32 = build_graph(n, edges, distances=chosen)
+    g = build_graph(n, edges, distances={pair: float(w) for pair, w in chosen.items()})
+    share = uniform(rng)
+    for lid in range(len(g.links)):
+        if uniform(rng) < share:
+            g32.allocated[lid] = g.allocated[lid] = True
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                h = routing._distances_from(g32, src)
+                assert _reference_or_error(routing._min_distance_path, g32, src, dst, h) == (
                     _reference_or_error(min_distance_path_reference, g, src, dst))
 
 
