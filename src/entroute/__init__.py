@@ -36,7 +36,6 @@ from .harness import (
 )
 from .metrics import compute_metrics
 from .network import (
-    Demand,
     EntangledGraph,
     PhysicalLink,
     PhysicalNetwork,
@@ -58,7 +57,6 @@ from .rng import RngStream, hash64
 __version__ = "0.1.0"
 
 __all__ = [
-    "Demand",
     "DensityMatrix",
     "EntangledGraph",
     "ExperimentConfig",

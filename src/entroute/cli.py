@@ -53,25 +53,36 @@ EXIT_INVARIANT = 4
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Where ``--out`` or ``--raw`` writes: stdout for None or ``-``, else the file."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    existed = os.path.lexists(path)
+    """Where ``--out`` or ``--raw`` writes: stdout for None or ``-``, else the file.
+
+    Stdout is flushed and a file closed on the way out, so an ``OSError``
+    from any open, write, flush or close ends here, as a configuration error.
+    """
+    to_stdout = path is None or path == "-"
+    created = not to_stdout and not os.path.lexists(path)
     try:
-        handle = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
-    with handle:
-        try:
-            yield handle
-        except BaseException:
-            # A file created here goes again if a later output cannot be
-            # opened or a write fails; an existing path is never removed.
-            if not existed:
-                handle.close()
-                os.unlink(path)
+        if to_stdout:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+    except BaseException as exc:
+        # A file created here goes again if a later output cannot be
+        # opened or a write fails; an existing path is never removed.
+        if created and os.path.lexists(path):
+            os.unlink(path)
+        if not isinstance(exc, OSError):
             raise
+        if to_stdout:
+            # A failed flush leaves its bytes buffered, and the interpreter
+            # flushes them again at exit; sent to the null device, they cannot
+            # fail there too and turn exit code 2 into 120.
+            with contextlib.suppress(AttributeError, OSError, ValueError), \
+                    open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        name = "stdout" if to_stdout else path
+        raise InvalidParameterError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _write_rows(rows, out, fmt: str, write_csv) -> None:
@@ -146,7 +157,8 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_gridcheck(args) -> int:
     report = run_grid_check(args.rows, args.cols, args.demands, args.seed)
-    print("true" if report.satisfied else "false")
+    with _output(None) as out:
+        out.write("true\n" if report.satisfied else "false\n")
     return EXIT_OK
 
 

@@ -9,9 +9,11 @@ Every simulation instance derives its seed as
 and splits it into fixed-purpose substreams: hash64(child, 0) drives
 topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
 sampling, and hash64(child, 3) the randomized scheduler (derived only when
-rmpsa is selected).  Within one instance every selected algorithm gets the
-same entangled graph and demand set; each scheduler claims links only in
-its own ``copy()`` of the graph's allocation flags. The graph's structure
+rmpsa is selected).  Demand i is the i-th ``(src, dst)`` pair sampled,
+and the randomized scheduler reads its words from substream i of that
+stream.  Within one instance every selected algorithm gets the same
+entangled graph and demand set; each scheduler claims links only in its
+own ``copy()`` of the graph's allocation flags. The graph's structure
 is frozen, so a run can leak into the next only through those flags. To
 enforce that, a digest of the serialized graph and its flags is taken
 before the first run and checked before each run after the first; a single
@@ -45,7 +47,7 @@ from .errors import (
 from .fidelity import FidelitySweepRow, NoiseConfig, fidelity_sweep
 from .generation import generate_entanglement, generate_grid, generate_topology
 from .metrics import compute_metrics
-from .network import Demand, EntangledGraph
+from .network import EntangledGraph
 from .routing import (
     RoutingSchedule,
     dmpsa_schedule,
@@ -213,10 +215,12 @@ class GridCheckReport:
     paths_per_demand: tuple[int, ...]
 
 
-def _sample_demands(node_count: int, demand_count: int, rng: RngStream) -> tuple[Demand, ...]:
+def _sample_demands(
+    node_count: int, demand_count: int, rng: RngStream
+) -> tuple[tuple[int, int], ...]:
     """Distinct unordered pairs, src != dst, sampled uniformly by rejection."""
     seen: set[frozenset[int]] = set()
-    demands: list[Demand] = []
+    demands: list[tuple[int, int]] = []
     while len(demands) < demand_count:
         u = rng.randrange(node_count)
         v = rng.randrange(node_count)
@@ -226,7 +230,7 @@ def _sample_demands(node_count: int, demand_count: int, rng: RngStream) -> tuple
         if pair in seen:
             continue
         seen.add(pair)
-        demands.append(Demand(len(demands), u, v))
+        demands.append((u, v))
     return tuple(demands)
 
 
@@ -308,9 +312,7 @@ def run_single(
 
 
 def _substitute_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    name = _AXIS_FIELDS.get(axis)
-    if name is None:
-        raise InvalidParameterError(f"unknown sweep axis '{axis}'")
+    name = _AXIS_FIELDS[axis]
     if name.endswith("_count"):
         if value != int(value):
             raise InvalidParameterError(f"{name} sweep value must be an integer, got {value}")
@@ -406,12 +408,9 @@ def run_grid_check(rows: int, cols: int, demand_count: int, seed: int) -> GridCh
     # alpha = 0 makes every attempted pair succeed: the fully entangled grid.
     graph = generate_entanglement(net, 0.0, RngStream(hash64(seed, _STREAM_ENTANGLEMENT)))
     columns = RngStream(hash64(seed, _STREAM_DEMANDS)).sample(cols, demand_count)
-    demands = tuple(
-        Demand(i, column, (rows - 1) * cols + column)
-        for i, column in enumerate(columns)
-    )
+    demands = tuple((column, (rows - 1) * cols + column) for column in columns)
     schedule = mcsa_schedule(graph, demands, per_demand_cap=1)
-    counts = tuple(len(schedule.paths[d.id]) for d in demands)
+    counts = tuple(len(ps) for ps in schedule.paths)
     return GridCheckReport(
         rows=rows,
         cols=cols,

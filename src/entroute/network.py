@@ -12,7 +12,7 @@ endpoints and distance.
 Links are ``NamedTuple`` records that ``PhysicalNetwork`` checks in one loop
 and stores with int endpoints, ``u < v`` and a float distance; a record
 already in that form, as every generated one is, is kept as the same
-object. Records, demands and both graph types are immutable, and graphs hold
+object. Records and both graph types are immutable, and graphs hold
 the node capacities, links and entangled adjacency in tuples. The one
 mutable state is ``EntangledGraph.allocated``, a list of one flag per link
 id that flips in place when a routing path claims the link;
@@ -171,23 +171,3 @@ class EntangledGraph:
             object.__setattr__(self, "_json", text)
         return text
 
-
-@dataclass(frozen=True, slots=True)
-class Demand:
-    """A source-destination pair requesting entangled paths."""
-
-    id: int
-    src: int
-    dst: int
-
-    def __post_init__(self):
-        # The exact type test spares sampled demands the slower full check.
-        if not (type(self.id) is int and type(self.src) is int and type(self.dst) is int):
-            setattr_ = object.__setattr__
-            setattr_(self, "id", require_integer("demand id", self.id))
-            setattr_(self, "src", require_integer(f"demand {self.id}: src", self.src))
-            setattr_(self, "dst", require_integer(f"demand {self.id}: dst", self.dst))
-        if self.src == self.dst:
-            raise InvalidParameterError(
-                f"demand {self.id}: src and dst must differ, got {self.src}"
-            )

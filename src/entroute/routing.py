@@ -3,7 +3,8 @@
 Every search is a function of the graph alone: it reads ``g.adjacency``
 and skips allocated links, ``g.allocated[lid]``. Scheduling never mutates
 the caller's graph: each scheduler works on a ``copy()`` with its own
-allocation flags, and its schedule is the one place demand ids are kept.
+allocation flags. A demand is a ``(src, dst)`` pair; demand i is the i-th
+pair given, and its schedule files its paths in ``paths[i]``.
 
 The path searches label only what their answer depends on. The minimum-hop
 search is a bidirectional BFS (Pohl, "Bi-directional search", 1971) that
@@ -23,8 +24,8 @@ units on links claimed since are cancelled.
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
     sequence, and toward the smallest link id among parallel edges;
-  * equal path flexibilities resolve to the smallest demand id;
-  * the randomized scheduler reads words from substreams keyed by demand id.
+  * equal path flexibilities resolve to the smallest demand index;
+  * the randomized scheduler reads demand i's words from substream i.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import InvalidParameterError, InvariantViolationError, require_integer
-from .network import Demand, EntangledGraph
+from .network import EntangledGraph
 from .rng import RngStream
 
 _FLOAT_MIN = sys.float_info.min
@@ -88,24 +89,24 @@ class CutResult:
 
 @dataclass(slots=True)
 class RoutingSchedule:
-    """Edge-disjoint paths per demand id, in demand order, and their floor k."""
+    """Edge-disjoint paths of demand i in ``paths[i]``, and their floor k."""
 
-    paths: dict[int, list[Path]]
+    paths: list[list[Path]]
 
     @property
     def k(self) -> int:
         """Traffic flexibility: the fewest paths that any demand holds."""
         if not self.paths:
             raise InvalidParameterError("k is undefined for a schedule with no demands")
-        return min(len(ps) for ps in self.paths.values())
+        return min(len(ps) for ps in self.paths)
 
     @property
     def total_paths(self) -> int:
-        return sum(len(ps) for ps in self.paths.values())
+        return sum(len(ps) for ps in self.paths)
 
     @property
     def total_hops(self) -> int:
-        return sum(p.hop_count for ps in self.paths.values() for p in ps)
+        return sum(p.hop_count for ps in self.paths for p in ps)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -113,13 +114,13 @@ class RoutingSchedule:
                 "k": self.k,
                 "demands": [
                     {
-                        "id": did,
+                        "id": i,
                         "paths": [
                             {"nodes": list(p.nodes), "edges": list(p.edges)}
                             for p in ps
                         ],
                     }
-                    for did, ps in self.paths.items()
+                    for i, ps in enumerate(self.paths)
                 ],
             },
             separators=(",", ":"),
@@ -377,15 +378,15 @@ def _cancel_unit(g: EntangledGraph, flow: list[int], lid: int) -> None:
 
 
 def allocate_path(
-    schedule: RoutingSchedule, g: EntangledGraph, demand_id: int, p: Path
+    schedule: RoutingSchedule, g: EntangledGraph, demand: int, p: Path
 ) -> None:
     """Claim a path's links, each a free link of ``g`` joining its two path nodes, and file it."""
-    # Exact ints skip the call; True or 1.0 would otherwise file under id 1.
-    if type(demand_id) is not int:
-        demand_id = require_integer("demand id", demand_id)
-    paths = schedule.paths.get(demand_id)
-    if paths is None:
-        raise InvalidParameterError(f"path for unknown demand {demand_id}")
+    # Exact ints skip the call; True or 1.0 would otherwise file under demand 1.
+    if type(demand) is not int:
+        demand = require_integer("demand", demand)
+    # A bare list index would take -1 as the last demand.
+    if not 0 <= demand < len(schedule.paths):
+        raise InvalidParameterError(f"path for unknown demand {demand}")
     links, allocated, nodes = g.links, g.allocated, p.nodes
     for i, lid in enumerate(p.edges):
         if not 0 <= lid < len(links):
@@ -402,46 +403,50 @@ def allocate_path(
             )
     for lid in p.edges:
         allocated[lid] = True
-    paths.append(p)
+    schedule.paths[demand].append(p)
 
 
-def _validate_demands(g: EntangledGraph, demands) -> tuple[Demand, ...]:
-    demands = tuple(demands)
-    if not demands:
+def _validate_demands(g: EntangledGraph, demands) -> tuple[tuple[int, int], ...]:
+    """Each ``(src, dst)`` entry of ``demands`` as a pair of distinct nodes of ``g``."""
+    pairs = []
+    for i, demand in enumerate(demands):
+        try:
+            src, dst = demand
+        except (TypeError, ValueError):  # not an iterable of two
+            raise InvalidParameterError(f"demand {i} is not (src, dst): {demand!r}") from None
+        try:
+            pairs.append(_check_endpoints(g, src, dst))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"demand {i}: {exc}") from None
+    if not pairs:
         raise InvalidParameterError("demand set must be nonempty")
-    seen = set()
-    for d in demands:
-        _check_endpoints(g, d.src, d.dst)
-        if d.id in seen:
-            raise InvalidParameterError(f"duplicate demand id {d.id}")
-        seen.add(d.id)
-    return demands
+    return tuple(pairs)
 
 
 def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
     """Queue discipline shared by the sequential-style schedulers.
 
-    Pop the front demand and seek a path: on success allocate it and requeue
-    the demand at the rear; on failure drop the demand for good (keeping any
-    paths it already holds).
+    Pop the front demand and seek a path with ``find_path(work, i, src,
+    dst)``: on success allocate it and requeue the demand at the rear; on
+    failure drop the demand for good (keeping any paths it already holds).
     """
     demands = _validate_demands(g, demands)
     work = g.copy()
-    schedule = RoutingSchedule({d.id: [] for d in demands})
-    queue = deque(demands)
+    schedule = RoutingSchedule([[] for _ in demands])
+    queue = deque(range(len(demands)))
     while queue:
-        d = queue.popleft()
-        p = find_path(work, d)
+        i = queue.popleft()
+        p = find_path(work, i, *demands[i])
         if p is not None:
-            allocate_path(schedule, work, d.id, p)
-            queue.append(d)
+            allocate_path(schedule, work, i, p)
+            queue.append(i)
     return schedule
 
 
 def smpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
     """Sequential scheduler: FCFS round-robin over minimum-hop paths."""
     return _fcfs_schedule(
-        g, demands, lambda work, d: shortest_entangled_path(work, d.src, d.dst)
+        g, demands, lambda work, i, src, dst: shortest_entangled_path(work, src, dst)
     )
 
 
@@ -452,9 +457,9 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
             f"rng must be an RngStream, got {type(rng).__name__}"
         )
     demands = tuple(demands)
-    words = {d.id: rng.substream(d.id).words().__next__ for d in demands}
+    words = [rng.substream(i).words().__next__ for i in range(len(demands))]
     return _fcfs_schedule(
-        g, demands, lambda work, d: _random_simple_path(work, d.src, d.dst, words[d.id])
+        g, demands, lambda work, i, src, dst: _random_simple_path(work, src, dst, words[i])
     )
 
 
@@ -466,11 +471,11 @@ def dmpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
     """
     to_src: dict[int, list[float | None]] = {}
 
-    def find_nearest(work: EntangledGraph, d: Demand) -> Path | None:
-        h = to_src.get(d.src)
+    def find_nearest(work: EntangledGraph, i: int, src: int, dst: int) -> Path | None:
+        h = to_src.get(src)
         if h is None:
-            h = to_src[d.src] = _distances_from(work, d.src)
-        return _min_distance_path(work, d.src, d.dst, h)
+            h = to_src[src] = _distances_from(work, src)
+        return _min_distance_path(work, src, dst, h)
 
     return _fcfs_schedule(g, demands, find_nearest)
 
@@ -481,7 +486,7 @@ def mcsa_schedule(
     """Min-cut-prioritized scheduler, serving in rounds.
 
     Each round ranks the demands still being served by their path
-    flexibility on the current graph (ties to the smallest id) and gives
+    flexibility on the current graph (ties to the smallest index) and gives
     each of them one shortest path in that order. A demand retires when no
     path is left for it or its budget min(C_src, C_dst) is spent. Serving
     one path per round keeps the bottleneck links of the most constrained
@@ -502,37 +507,36 @@ def mcsa_schedule(
             )
     demands = _validate_demands(g, demands)
     work = g.copy()
-    schedule = RoutingSchedule({d.id: [] for d in demands})
+    schedule = RoutingSchedule([[] for _ in demands])
     capacities = work.physical.nodes
-    budgets = {
-        d.id: per_demand_cap
-        if per_demand_cap is not None
-        else min(capacities[d.src], capacities[d.dst])
-        for d in demands
-    }
-    active = list(demands)
+    budgets = [
+        per_demand_cap if per_demand_cap is not None else min(capacities[src], capacities[dst])
+        for src, dst in demands
+    ]
+    # Indices of the demands still served.
+    active = list(range(len(demands)))
     # Each demand's flow of its last ranking, and the links claimed since.
-    flows = {d.id: [0] * len(work.links) for d in active}
+    flows = [[0] * len(work.links) for _ in demands]
     claimed: list[int] = []
     while active:
         if len(active) > 1:
-            for d in active:
-                flow = flows[d.id]
+            for i in active:
+                flow = flows[i]
                 # Read lazily, so a unit an earlier cancel removed reads as gone.
                 for lid in compress(claimed, map(flow.__getitem__, claimed)):
                     _cancel_unit(work, flow, lid)
-            active.sort(key=lambda d: (st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, d.id))
+            active.sort(key=lambda i: (st_min_cut(work, *demands[i], flow=flows[i]).flexibility, i))
         claimed = []
         served = []
-        for d in active:
-            p = shortest_entangled_path(work, d.src, d.dst)
+        for i in active:
+            p = shortest_entangled_path(work, *demands[i])
             if p is None:
                 continue
-            allocate_path(schedule, work, d.id, p)
+            allocate_path(schedule, work, i, p)
             claimed += p.edges
-            budgets[d.id] -= 1
-            if budgets[d.id] > 0:
-                served.append(d)
+            budgets[i] -= 1
+            if budgets[i] > 0:
+                served.append(i)
         active = served
     return schedule
 

@@ -41,9 +41,42 @@ MUTANTS = [
     ),
     (
         "routing.py",
-        "(st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, d.id)",
-        "(st_min_cut(work, d.src, d.dst, flow=flows[d.id]).flexibility, -d.id)",
+        "(st_min_cut(work, *demands[i], flow=flows[i]).flexibility, i)",
+        "(st_min_cut(work, *demands[i], flow=flows[i]).flexibility, -i)",
         ["tests/test_golden.py"],
+    ),
+    (
+        "routing.py",
+        "rng.substream(i).words()",
+        "rng.substream(i + 1).words()",
+        [
+            "tests/test_schedulers.py::TestRmpsa::test_one_substream_per_demand",
+            "tests/test_end_to_end.py::test_run_single_matches_the_reference",
+        ],
+    ),
+    (
+        "routing.py",
+        "if not 0 <= demand < len(schedule.paths):",
+        "if not demand < len(schedule.paths):",
+        ["tests/test_routing.py::TestAllocatePath::test_demand_index_outside_the_schedule_rejected"],
+    ),
+    (
+        "cli.py",
+        "            yield sys.stdout\n            sys.stdout.flush()\n",
+        "            yield sys.stdout\n",
+        ["tests/test_cli.py::test_unwritable_stdout_exit_code"],
+    ),
+    (
+        "cli.py",
+        "os.dup2(null.fileno(), sys.stdout.fileno())",
+        "pass",
+        ["tests/test_cli.py::test_full_device_exits_2_without_traceback"],
+    ),
+    (
+        "routing.py",
+        'raise InvalidParameterError(f"demand {i}: {exc}") from None',
+        "raise",
+        ["tests/test_schedulers.py::test_malformed_demands_rejected"],
     ),
     (
         "routing.py",

@@ -24,7 +24,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
 from entroute.errors import GenerationFailureError, InvariantViolationError
-from entroute.network import Demand, EntangledGraph, PhysicalLink, PhysicalNetwork
+from entroute.network import EntangledGraph, PhysicalLink, PhysicalNetwork
 from entroute.rng import RngStream, hash64
 from entroute.routing import Path, RoutingSchedule, _check_endpoints
 
@@ -208,16 +208,17 @@ def min_total_distance_bruteforce(
 
 
 def validate_schedule(schedule, graph, demands) -> None:
-    """Assert edge-disjointness and per-path structural validity."""
+    """Assert edge-disjointness and per-path structural validity.
+
+    ``demands`` are ``(src, dst)`` pairs, and ``schedule.paths[i]`` holds
+    the paths of the i-th.
+    """
     used: set[int] = set()
-    by_id = {d.id: d for d in demands}
-    assert list(schedule.paths) == list(by_id), "schedule demand ids or order mismatch"
-    for did, paths in schedule.paths.items():
-        d = by_id[did]
+    assert len(schedule.paths) == len(demands), "schedule does not hold one entry per demand"
+    for (src, dst), paths in zip(demands, schedule.paths):
         for p in paths:
-            assert p.nodes[0] == d.src and p.nodes[-1] == d.dst, (
-                f"path endpoints {p.nodes[0]}..{p.nodes[-1]} != demand "
-                f"({d.src},{d.dst})"
+            assert p.nodes[0] == src and p.nodes[-1] == dst, (
+                f"path endpoints {p.nodes[0]}..{p.nodes[-1]} != demand ({src},{dst})"
             )
             assert len(set(p.nodes)) == len(p.nodes), "path repeats a node"
             assert len(p.edges) == len(p.nodes) - 1
@@ -228,8 +229,9 @@ def validate_schedule(schedule, graph, demands) -> None:
                 )
                 assert eid not in used, f"link {eid} allocated twice"
                 used.add(eid)
-    counts = [len(schedule.paths[d.id]) for d in demands]
-    assert schedule.k == min(counts), "k is not the minimum path count"
+    assert schedule.k == min(len(paths) for paths in schedule.paths), (
+        "k is not the minimum path count"
+    )
 
 
 def _spans_all_nodes(node_count: int, edges: list[Edge]) -> bool:
@@ -557,34 +559,35 @@ def random_simple_path_reference(
 def fcfs_schedule_reference(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
     """First-come-first-served round robin on a copy of ``g``.
 
-    ``find_path(work, demand)`` returns a path or None. A found path is
-    claimed and its demand goes to the back of the queue; a demand with no
-    path leaves the queue for good.
+    ``demands`` are ``(src, dst)`` pairs. ``find_path(work, i, src, dst)``
+    returns a path for demand i or None. A found path is claimed and its
+    demand goes to the back of the queue; a demand with no path leaves the
+    queue for good.
     """
     work = g.copy()
-    paths: dict[int, list[Path]] = {d.id: [] for d in demands}
-    queue = deque(demands)
+    paths: list[list[Path]] = [[] for _ in demands]
+    queue = deque(range(len(demands)))
     while queue:
-        d = queue.popleft()
-        p = find_path(work, d)
+        i = queue.popleft()
+        p = find_path(work, i, *demands[i])
         if p is None:
             continue
         for lid in p.edges:
             assert not work.allocated[lid], f"link {lid} claimed twice"
             work.allocated[lid] = True
-        paths[d.id].append(p)
-        queue.append(d)
+        paths[i].append(p)
+        queue.append(i)
     return RoutingSchedule(paths)
 
 
 def rmpsa_schedule_reference(g: EntangledGraph, demands, rng) -> RoutingSchedule:
-    """RMPSA from the full DFS, one substream of ``rng`` per demand id."""
+    """RMPSA from the full DFS; demand i draws from substream i of ``rng``."""
     streams = {}
 
-    def find(work: EntangledGraph, d) -> Path | None:
-        if d.id not in streams:
-            streams[d.id] = rng.substream(d.id)
-        return random_simple_path_reference(work, d.src, d.dst, streams[d.id])
+    def find(work: EntangledGraph, i: int, src: int, dst: int) -> Path | None:
+        if i not in streams:
+            streams[i] = rng.substream(i)
+        return random_simple_path_reference(work, src, dst, streams[i])
 
     return fcfs_schedule_reference(g, demands, find)
 
@@ -592,7 +595,7 @@ def rmpsa_schedule_reference(g: EntangledGraph, demands, rng) -> RoutingSchedule
 def dmpsa_schedule_reference(g: EntangledGraph, demands) -> RoutingSchedule:
     """DMPSA from the full-Dijkstra path reference."""
     return fcfs_schedule_reference(
-        g, demands, lambda work, d: min_distance_path_reference(work, d.src, d.dst)
+        g, demands, lambda work, i, src, dst: min_distance_path_reference(work, src, dst)
     )
 
 
@@ -602,33 +605,31 @@ def mcsa_schedule_reference(
     """MCSA that ranks every round by ``st_min_cut_reference`` from scratch.
 
     The rounds of ``entroute.routing.mcsa_schedule``: while more than one
-    demand is still served they are ranked by (min-cut value, id), then
+    demand is still served they are ranked by (min-cut value, index), then
     each takes one path from ``shortest_entangled_path_reference`` in that
     order. A demand leaves when it finds no path or has spent its budget,
     ``per_demand_cap`` or else min(C_src, C_dst).
     """
     work = g.copy()
     capacities = work.physical.nodes
-    budgets = {
-        d.id: per_demand_cap or min(capacities[d.src], capacities[d.dst]) for d in demands
-    }
-    paths: dict[int, list[Path]] = {d.id: [] for d in demands}
-    active = list(demands)
+    budgets = [per_demand_cap or min(capacities[src], capacities[dst]) for src, dst in demands]
+    paths: list[list[Path]] = [[] for _ in demands]
+    active = list(range(len(demands)))
     while active:
         if len(active) > 1:
-            active.sort(key=lambda d: (st_min_cut_reference(work, d.src, d.dst)[1], d.id))
+            active.sort(key=lambda i: (st_min_cut_reference(work, *demands[i])[1], i))
         served = []
-        for d in active:
-            p = shortest_entangled_path_reference(work, d.src, d.dst)
+        for i in active:
+            p = shortest_entangled_path_reference(work, *demands[i])
             if p is None:
                 continue
             for lid in p.edges:
                 assert not work.allocated[lid], f"link {lid} claimed twice"
                 work.allocated[lid] = True
-            paths[d.id].append(p)
-            budgets[d.id] -= 1
-            if budgets[d.id] > 0:
-                served.append(d)
+            paths[i].append(p)
+            budgets[i] -= 1
+            if budgets[i] > 0:
+                served.append(i)
         active = served
     return RoutingSchedule(paths)
 
@@ -646,22 +647,21 @@ _AXIS_FIELDS = {
 }
 
 
-def sample_demands_reference(node_count: int, demand_count: int, rng) -> list[Demand]:
+def sample_demands_reference(node_count: int, demand_count: int, rng) -> list[tuple[int, int]]:
     """Distinct unordered pairs by rejection, two ``randrange`` draws per try."""
-    demands: list[Demand] = []
-    seen: set[frozenset[int]] = set()
+    demands: list[tuple[int, int]] = []
     while len(demands) < demand_count:
         u, v = rng.randrange(node_count), rng.randrange(node_count)
-        if u != v and frozenset((u, v)) not in seen:
-            seen.add(frozenset((u, v)))
-            demands.append(Demand(len(demands), u, v))
+        if u != v and (u, v) not in demands and (v, u) not in demands:
+            demands.append((u, v))
     return demands
 
 
 def _schedule_reference(name: str, graph: EntangledGraph, demands, rmpsa_rng) -> RoutingSchedule:
     if name == "smpsa":
         return fcfs_schedule_reference(
-            graph, demands, lambda work, d: shortest_entangled_path_reference(work, d.src, d.dst)
+            graph, demands,
+            lambda work, i, src, dst: shortest_entangled_path_reference(work, src, dst),
         )
     if name == "mcsa":
         return mcsa_schedule_reference(graph, demands)
@@ -695,12 +695,12 @@ def run_single_reference(
     rows = []
     for name in sorted(set(config.algorithms)):
         schedule = _schedule_reference(name, graph, demands, child.substream(_RMPSA))
-        hops = [len(p.edges) for paths in schedule.paths.values() for p in paths]
+        hops = [len(p.edges) for paths in schedule.paths for p in paths]
         rows.append((
             child.seed,
             name,
             sweep_value,
-            min(len(paths) for paths in schedule.paths.values()),
+            min(len(paths) for paths in schedule.paths),
             sum(hops) / len(hops) if hops else 0.0,
             2 * sum(hops) / sum(net.nodes),
             len(hops),
@@ -771,9 +771,9 @@ def run_grid_check_reference(rows: int, cols: int, demand_count: int, seed: int)
     net = PhysicalNetwork((4,) * n, tuple(links))
     graph = generate_entanglement_scalar(net, 0.0, RngStream(seed).substream(_ENTANGLEMENT))
     columns = RngStream(seed).substream(_DEMANDS).sample(cols, demand_count)
-    demands = [Demand(i, c, (rows - 1) * cols + c) for i, c in enumerate(columns)]
+    demands = [(c, (rows - 1) * cols + c) for c in columns]
     schedule = mcsa_schedule_reference(graph, demands, per_demand_cap=1)
-    counts = tuple(len(schedule.paths[d.id]) for d in demands)
+    counts = tuple(len(paths) for paths in schedule.paths)
     return (rows, cols, demand_count, seed, all(counts), counts)
 
 

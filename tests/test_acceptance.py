@@ -26,7 +26,6 @@ from entroute.fidelity import (
 from entroute.generation import generate_entanglement, generate_topology
 from entroute.harness import ExperimentConfig, run_grid_check, run_single, run_sweep
 from entroute.metrics import compute_metrics
-from entroute.network import Demand
 from entroute.routing import (
     dmpsa_schedule,
     mcsa_schedule,
@@ -70,7 +69,7 @@ def _sample_demand_set(n, count, rng):
         if u == v or frozenset((u, v)) in pairs:
             continue
         pairs.add(frozenset((u, v)))
-        out.append(Demand(len(out), u, v))
+        out.append((u, v))
     return tuple(out)
 
 
@@ -205,7 +204,7 @@ def test_c5_depletion_accounting():
         ):
             _, depletion = compute_metrics(schedule, net)
             total_hops = sum(
-                p.hop_count for ps in schedule.paths.values() for p in ps
+                p.hop_count for ps in schedule.paths for p in ps
             )
             # Exact accounting: ratio x C_N = 2 x hops in rational arithmetic.
             assert depletion == 2 * total_hops / sum(net.nodes)

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -215,6 +218,87 @@ def test_failed_write_keeps_an_existing_path(config_path, tmp_path):
     argv = ["sweep", "--config", config_path, "--out", str(target), "--raw", missing]
     assert main(argv) == 2
     assert target.exists()
+
+
+# Each subcommand with its output on stdout; sweep's --raw goes there too.
+STDOUT_COMMANDS = {
+    "schedule": ["schedule", "--config", "{config}"],
+    "sweep": ["sweep", "--config", "{config}", "--raw", "-"],
+    "fidelity": ["fidelity", "--config", "{config}"],
+    "gridcheck": ["gridcheck", "--rows", "4", "--cols", "4", "--demands", "2", "--seed", "1"],
+}
+
+
+def _stdout_argv(command: str, config_path: str) -> list[str]:
+    return [arg.format(config=config_path) for arg in STDOUT_COMMANDS[command]]
+
+
+class _FullStdout(io.StringIO):
+    """A stdout that fails as a full device does: on write, or on flush only."""
+
+    def __init__(self, fail_on: str):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def _fail(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.fail_on == "write":
+            self._fail()
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            self._fail()
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("command", sorted(STDOUT_COMMANDS))
+def test_unwritable_stdout_exit_code(command, fail_on, config_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fail_on))
+    assert main(_stdout_argv(command, config_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "entroute: configuration error: cannot write stdout: No space left on device\n"
+
+
+def test_failed_write_removes_a_created_file(config_path, tmp_path, monkeypatch, capsys):
+    def write_some_then_fail(rows, out):
+        out.write("channel")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_fidelity_csv", write_some_then_fail)
+    target = tmp_path / "fid.csv"
+    assert main(["fidelity", "--config", config_path, "--out", str(target)]) == 2
+    assert f"cannot write {target}: No space left on device" in capsys.readouterr().err
+    assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [*sorted(STDOUT_COMMANDS), "fidelity --out"])
+def test_full_device_exits_2_without_traceback(command, buffered, config_path):
+    # Buffered stdout keeps the bytes of a failed flush and the interpreter
+    # flushes them again at exit, where a second failure would print
+    # "Exception ignored" and end with exit code 120.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if command == "fidelity --out":
+        argv, stdout = ["fidelity", "--config", "fig4", "--out", "/dev/full"], None
+        target = "/dev/full"
+    else:
+        argv, stdout = _stdout_argv(command, config_path), "/dev/full"
+        target = "stdout"
+    with open(stdout or os.devnull, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroute.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"entroute: configuration error: cannot write {target}: No space left on device\n"
+    )
 
 
 def test_dmpsa_runs_at_the_largest_average_distance(tmp_path):

@@ -554,9 +554,7 @@ class TestGridCheck:
         run_grid_check(rows, cols, demand_count, seed)
         columns = RngStream(seed).substream(2).sample(cols, demand_count)
         [demands] = received
-        assert [(d.id, d.src, d.dst) for d in demands] == [
-            (i, c, (rows - 1) * cols + c) for i, c in enumerate(columns)
-        ]
+        assert list(demands) == [(c, (rows - 1) * cols + c) for c in columns]
 
     @pytest.mark.parametrize(
         "args", [(7, 5, 2, 2.5), (7, 5, 2.5, 42), (7.0, 5, 2, 2), (7, 5.0, 2, 2)]

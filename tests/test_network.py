@@ -9,7 +9,6 @@ import pytest
 from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.network import (
-    Demand,
     EntangledGraph,
     PhysicalLink,
     PhysicalNetwork,
@@ -168,25 +167,6 @@ def test_entangled_graph_rejects_links_that_are_not_fibers(stray):
     net = PhysicalNetwork(nodes, (PhysicalLink(0, 1, 1.0),))
     with pytest.raises(InvalidParameterError, match="not a link of the physical"):
         EntangledGraph([net.links[0], stray], net)
-
-
-def test_demand_rejects_equal_endpoints():
-    with pytest.raises(InvalidParameterError):
-        Demand(0, 3, 3)
-
-
-@pytest.mark.parametrize(
-    "fields", [(0, 1.5, 8), (0, 1, 8.0), (0.0, 1, 8), (True, 1, 8), (0, "1", 8)]
-)
-def test_demand_rejects_non_integer_ids_and_endpoints(fields):
-    with pytest.raises(InvalidParameterError, match="must be an integer"):
-        Demand(*fields)
-
-
-def test_demand_accepts_numpy_integers():
-    d = Demand(np.int64(0), np.int32(1), np.int64(8))
-    assert (d.id, d.src, d.dst) == (0, 1, 8)
-    assert all(type(x) is int for x in (d.id, d.src, d.dst))
 
 
 def test_serialization_schema():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from entroute import routing
 from entroute.errors import InvalidParameterError, InvariantViolationError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
-from entroute.network import Demand, EntangledGraph
+from entroute.network import EntangledGraph
 from entroute.routing import (
     CutResult,
     Path,
@@ -176,7 +176,7 @@ class TestPathFlexibility:
 class TestAllocatePath:
     def test_consumes_edges(self):
         g = build_graph(2, [(0, 1)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         allocate_path(schedule, g, 0, shortest_entangled_path(g, 0, 1))
         assert g.allocated[0]
         assert shortest_entangled_path(g, 0, 1) is None
@@ -184,7 +184,7 @@ class TestAllocatePath:
 
     def test_parallel_link_survives(self):
         g = build_graph(2, [(0, 1), (0, 1)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         allocate_path(schedule, g, 0, shortest_entangled_path(g, 0, 1))
         remaining = shortest_entangled_path(g, 0, 1)
         assert remaining is not None
@@ -192,7 +192,7 @@ class TestAllocatePath:
 
     def test_double_allocation_rejected(self):
         g = build_graph(2, [(0, 1)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         p = shortest_entangled_path(g, 0, 1)
         allocate_path(schedule, g, 0, p)
         with pytest.raises(InvariantViolationError):
@@ -200,7 +200,7 @@ class TestAllocatePath:
 
     def test_unknown_demand_rejected_before_any_claim(self):
         g = build_graph(2, [(0, 1)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         with pytest.raises(InvalidParameterError, match="unknown demand 5"):
             allocate_path(schedule, g, 5, Path((0, 1), (0,)))
         assert g.allocated == [False]
@@ -210,7 +210,7 @@ class TestAllocatePath:
     def assert_rejected(p, match):
         # The chain 0-1-2: link 0 joins nodes 0 and 1, link 1 joins 1 and 2.
         g = build_graph(3, [(0, 1), (1, 2)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         with pytest.raises(InvalidParameterError, match=match):
             allocate_path(schedule, g, 0, p)
         assert g.allocated == [False, False]
@@ -228,21 +228,31 @@ class TestAllocatePath:
     @pytest.mark.parametrize("demand_id", [True, 1.0, [], None, "1"])
     def test_non_integer_demand_id_rejected_before_any_claim(self, demand_id):
         g = build_graph(2, [(0, 1)])
-        schedule = RoutingSchedule({0: [], 1: []})
-        with pytest.raises(InvalidParameterError, match="demand id must be an integer"):
+        schedule = RoutingSchedule([[], []])
+        with pytest.raises(InvalidParameterError, match="demand must be an integer"):
             allocate_path(schedule, g, demand_id, Path((0, 1), (0,)))
+        assert g.allocated == [False]
+        assert schedule.total_paths == 0
+
+    @pytest.mark.parametrize("demand", [-1, 2])
+    def test_demand_index_outside_the_schedule_rejected(self, demand):
+        # A bare list index would file -1 under the last demand.
+        g = build_graph(2, [(0, 1)])
+        schedule = RoutingSchedule([[], []])
+        with pytest.raises(InvalidParameterError, match=f"unknown demand {demand}"):
+            allocate_path(schedule, g, demand, Path((0, 1), (0,)))
         assert g.allocated == [False]
         assert schedule.total_paths == 0
 
     def test_numpy_integer_demand_id_accepted(self):
         g = build_graph(2, [(0, 1)])
-        schedule = RoutingSchedule({0: [], 1: []})
+        schedule = RoutingSchedule([[], []])
         allocate_path(schedule, g, np.int64(1), Path((0, 1), (0,)))
-        assert [len(ps) for ps in schedule.paths.values()] == [0, 1]
+        assert [len(ps) for ps in schedule.paths] == [0, 1]
 
     def test_numpy_typed_path_is_filed_as_ints(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        schedule = RoutingSchedule({0: []})
+        schedule = RoutingSchedule([[]])
         allocate_path(schedule, g, 0, Path((np.int64(2), np.int64(1)), (np.int32(1),)))
         p = schedule.paths[0][0]
         assert all(type(x) is int for x in p.nodes + p.edges)
@@ -550,8 +560,8 @@ def test_searches_accept_numpy_integer_endpoints(search):
         assert all(type(x) is int for x in found.nodes)
     # NumPy-typed links and demands give the schedule of int-typed ones.
     g_np = build_graph(3, [(np.int64(u), np.int32(v)) for u, v in edges])
-    demands = (Demand(0, 0, 2), Demand(1, 1, 2))
-    demands_np = tuple(Demand(np.int64(d.id), np.int32(d.src), np.int64(d.dst)) for d in demands)
+    demands = ((0, 2), (1, 2))
+    demands_np = tuple((np.int32(src), np.int64(dst)) for src, dst in demands)
     schedule = _SCHEDULERS[search](g, demands)
     assert _SCHEDULERS[search](g_np, demands_np).to_json() == schedule.to_json()
 
@@ -771,7 +781,7 @@ def test_float32_distances_add_up_as_floats():
                     distances={(0, 1): f32(0.3), (1, 2): f32(0.2), (0, 2): f32(0.1)})
     p = routing._min_distance_path(g, 0, 1, routing._distances_from(g, 0))
     assert p.nodes == (0, 2, 1)
-    assert dmpsa_schedule(g, [Demand(0, 0, 1)]).paths[0][0] == p
+    assert dmpsa_schedule(g, [(0, 1)]).paths[0][0] == p
 
 
 @settings(max_examples=300, deadline=None)

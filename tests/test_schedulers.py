@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,7 @@ from entroute import routing
 from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.harness import _sample_demands
-from entroute.network import Demand, PhysicalLink, PhysicalNetwork
+from entroute.network import PhysicalLink, PhysicalNetwork
 from entroute.routing import (
     dmpsa_schedule,
     mcsa_schedule,
@@ -37,7 +38,7 @@ from oracles import (
 
 class TestSmpsa:
     def test_single_demand_two_disjoint_routes(self, four_cycle):
-        demands = (Demand(0, 0, 1),)
+        demands = ((0, 1),)
         schedule = smpsa_schedule(four_cycle, demands)
         assert schedule.k == 2
         assert schedule.total_paths == 2
@@ -45,14 +46,14 @@ class TestSmpsa:
 
     def test_disconnected_demand(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        schedule = smpsa_schedule(g, (Demand(0, 0, 3),))
+        schedule = smpsa_schedule(g, ((0, 3),))
         assert schedule.k == 0
         assert schedule.total_paths == 0
 
     def test_bridge_contention_first_demand_wins(self):
         # Path graph: every route of both demands shares the middle edges.
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        demands = (Demand(0, 0, 4), Demand(1, 1, 3))
+        demands = ((0, 4), (1, 3))
         schedule = smpsa_schedule(g, demands)
         assert schedule.k == 0
         assert len(schedule.paths[0]) == 1
@@ -60,19 +61,19 @@ class TestSmpsa:
         validate_schedule(schedule, g, demands)
 
     def test_original_graph_untouched(self, four_cycle):
-        smpsa_schedule(four_cycle, (Demand(0, 0, 1),))
+        smpsa_schedule(four_cycle, ((0, 1),))
         assert not any(four_cycle.allocated)
 
     def test_round_robin_fairness(self, monkeypatch):
         net = generate_topology(40, 7.44, 6, RngStream(21))
         g = generate_entanglement(net, 0.02, RngStream(22))
-        demands = tuple(Demand(i, 2 * i, 2 * i + 1) for i in range(4))
+        demands = tuple((2 * i, 2 * i + 1) for i in range(4))
         seq = []
         allocate = routing.allocate_path
 
-        def recording(schedule, work, demand_id, p):
-            allocate(schedule, work, demand_id, p)
-            seq.append(demand_id)
+        def recording(schedule, work, demand, p):
+            allocate(schedule, work, demand, p)
+            seq.append(demand)
 
         monkeypatch.setattr(routing, "allocate_path", recording)
         smpsa_schedule(g, demands)
@@ -91,26 +92,56 @@ class TestSmpsa:
             smpsa_schedule(four_cycle, ())
 
 
+_SCHEDULES = {
+    "smpsa": smpsa_schedule,
+    "mcsa": mcsa_schedule,
+    "rmpsa": lambda g, ds: rmpsa_schedule(g, ds, RngStream(0)),
+    "dmpsa": dmpsa_schedule,
+}
+
+
 @pytest.mark.parametrize("demands, message", [
-    ((Demand(0, 0, 4),), "endpoint outside graph: src=0 dst=4"),
-    ((Demand(0, 0, 1), Demand(0, 2, 3)), "duplicate demand id 0"),
+    (((0, 4),), "endpoint outside graph: src=0 dst=4"),
+    pytest.param((None,), r"^demand 0 is not \(src, dst\): None", id="none"),
+    pytest.param(((0, 1), (1,)), r"^demand 1 is not \(src, dst\): \(1,\)", id="one_endpoint"),
+    pytest.param(((1, 2, 3),), r"^demand 0 is not \(src, dst\): \(1, 2, 3\)", id="three_endpoints"),
+    pytest.param(((0, 0),), "^demand 0: src and dst must differ, got 0", id="equal_endpoints"),
+    pytest.param(((1.5, 2),), "^demand 0: src must be an integer", id="float_src"),
+    pytest.param(((0, 1), (1, 2.0)), "^demand 1: dst must be an integer", id="float_dst"),
+    pytest.param(((True, 2),), "^demand 0: src must be an integer", id="bool_src"),
+    pytest.param(((0, 1), (2, 3), ("1", 2)), "^demand 2: src must be an integer", id="str_src"),
 ])
-@pytest.mark.parametrize("schedule", ["smpsa", "mcsa", "rmpsa", "dmpsa"])
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
 def test_malformed_demands_rejected(four_cycle, demands, message, schedule):
-    run = {
-        "smpsa": smpsa_schedule,
-        "mcsa": mcsa_schedule,
-        "rmpsa": lambda g, ds: rmpsa_schedule(g, ds, RngStream(0)),
-        "dmpsa": dmpsa_schedule,
-    }[schedule]
     with pytest.raises(InvalidParameterError, match=message):
-        run(four_cycle, demands)
+        _SCHEDULES[schedule](four_cycle, demands)
+
+
+# Each entry makes a fresh copy of the pairs, since a generator is read once.
+_DEMAND_FORMS = {
+    "tuples": lambda pairs: pairs,
+    "lists": lambda pairs: [list(pair) for pair in pairs],
+    "numpy_integers": lambda pairs: [(np.int64(s), np.int32(t)) for s, t in pairs],
+    "array_rows": np.array,
+    "generator": lambda pairs: (pair for pair in pairs),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_DEMAND_FORMS))
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+def test_demand_forms_give_one_schedule(form, schedule):
+    net = generate_topology(30, 7.44, 6, RngStream(31))
+    g = generate_entanglement(net, 0.02, RngStream(32))
+    pairs = ((0, 29), (3, 17), (17, 3), (8, 21))
+    expected = _SCHEDULES[schedule](g, pairs)
+    assert expected.total_paths > 0
+    assert _SCHEDULES[schedule](g, _DEMAND_FORMS[form](pairs)).to_json() == expected.to_json()
 
 
 class TestMcsa:
     def test_triple_parallel_capped_by_capacity(self):
         g = build_graph(2, [(0, 1), (0, 1), (0, 1)], capacities=[2, 2])
-        demands = (Demand(0, 0, 1),)
+        demands = ((0, 1),)
         schedule = mcsa_schedule(g, demands)
         assert schedule.total_paths == 2
         assert schedule.k == 2
@@ -120,7 +151,7 @@ class TestMcsa:
         # through the only route available to d1.  Served in id order (as the
         # sequential scheduler does) d1 starves; min-cut priority saves it.
         g = build_graph(6, [(0, 1), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-        demands = (Demand(0, 3, 4), Demand(1, 0, 4))
+        demands = ((3, 4), (0, 4))
         assert smpsa_schedule(g, demands).k == 0
         schedule = mcsa_schedule(g, demands)
         assert schedule.k == 1
@@ -132,7 +163,7 @@ class TestMcsa:
         # both links at node 3; one path per demand per round leaves them to
         # d1, whose two routes then keep d0 from finding a second path.
         g = build_graph(7, [(0, 1), (0, 5), (3, 5), (3, 6), (6, 1), (5, 4), (6, 4)])
-        demands = (Demand(0, 0, 1), Demand(1, 3, 4))
+        demands = ((0, 1), (3, 4))
         schedule = mcsa_schedule(g, demands)
         assert schedule.k == 1
         assert [p.nodes for p in schedule.paths[0]] == [(0, 1)]
@@ -141,7 +172,7 @@ class TestMcsa:
 
     def test_zero_flexibility_selected_first(self):
         g = build_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        demands = (Demand(0, 2, 4), Demand(1, 0, 4))
+        demands = ((2, 4), (0, 4))
         schedule = mcsa_schedule(g, demands)
         assert schedule.k == 0
         assert len(schedule.paths[1]) == 0
@@ -151,51 +182,51 @@ class TestMcsa:
         counts = {}
         for cap in (1, 2, 3):
             g = build_graph(2, [(0, 1)] * 3, capacities=[cap, 3])
-            counts[cap] = mcsa_schedule(g, (Demand(0, 0, 1),)).total_paths
+            counts[cap] = mcsa_schedule(g, ((0, 1),)).total_paths
         assert counts == {1: 1, 2: 2, 3: 3}
 
     def test_per_demand_cap_override(self, four_cycle):
-        schedule = mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=1)
+        schedule = mcsa_schedule(four_cycle, ((0, 1),), per_demand_cap=1)
         assert schedule.total_paths == 1
 
     @pytest.mark.parametrize("cap", [1.5, 2.0, True, math.nan])
     def test_per_demand_cap_must_be_an_integer(self, four_cycle, cap):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
-            mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=cap)
+            mcsa_schedule(four_cycle, ((0, 1),), per_demand_cap=cap)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_per_demand_cap_must_be_positive(self, four_cycle, cap):
         with pytest.raises(InvalidParameterError, match="per_demand_cap must be >= 1"):
-            mcsa_schedule(four_cycle, (Demand(0, 0, 1),), per_demand_cap=cap)
+            mcsa_schedule(four_cycle, ((0, 1),), per_demand_cap=cap)
 
     def test_single_demand_gets_flexibility_many_paths(self):
         for seed in range(5):
             net = generate_topology(25, 7.44, 8, RngStream(seed))
             g = generate_entanglement(net, 0.01, RngStream(seed + 50))
-            d = Demand(0, 0, len(net.nodes) - 1)
-            flex = st_min_cut(g, d.src, d.dst).flexibility
-            cap = min(net.nodes[d.src], net.nodes[d.dst])
-            schedule = mcsa_schedule(g, (d,))
+            src, dst = 0, len(net.nodes) - 1
+            flex = st_min_cut(g, src, dst).flexibility
+            cap = min(net.nodes[src], net.nodes[dst])
+            schedule = mcsa_schedule(g, ((src, dst),))
             assert len(schedule.paths[0]) == min(flex, cap)
 
 
 class TestRmpsa:
     def test_unique_path_found_regardless_of_randomness(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        demands = (Demand(0, 0, 2),)
+        demands = ((0, 2),)
         schedule = rmpsa_schedule(g, demands, RngStream(123))
         assert schedule.k == 1
         assert schedule.paths[0][0].nodes == (0, 1, 2)
 
     def test_disconnected_demand_dropped(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        schedule = rmpsa_schedule(g, (Demand(0, 0, 2),), RngStream(1))
+        schedule = rmpsa_schedule(g, ((0, 2),), RngStream(1))
         assert schedule.k == 0
 
     def test_seed_reproducible(self):
         net = generate_topology(30, 7.44, 6, RngStream(31))
         g = generate_entanglement(net, 0.02, RngStream(32))
-        demands = tuple(Demand(i, i, 29 - i) for i in range(3))
+        demands = tuple((i, 29 - i) for i in range(3))
         a = rmpsa_schedule(g, demands, RngStream(77))
         b = rmpsa_schedule(g, demands, RngStream(77))
         assert a.to_json() == b.to_json()
@@ -203,7 +234,7 @@ class TestRmpsa:
     def test_different_seeds_can_differ(self):
         net = generate_topology(30, 7.44, 6, RngStream(31))
         g = generate_entanglement(net, 0.02, RngStream(32))
-        demands = tuple(Demand(i, i, 29 - i) for i in range(3))
+        demands = tuple((i, 29 - i) for i in range(3))
         serialized = {
             rmpsa_schedule(g, demands, RngStream(s)).to_json() for s in range(8)
         }
@@ -212,7 +243,7 @@ class TestRmpsa:
     def test_one_substream_per_demand(self, monkeypatch):
         net = generate_topology(30, 7.44, 6, RngStream(31))
         g = generate_entanglement(net, 0.02, RngStream(32))
-        demands = tuple(Demand(i, i, 29 - i) for i in range(3))
+        demands = tuple((i, 29 - i) for i in range(3))
         keys = []
         substream = RngStream.substream
 
@@ -225,7 +256,7 @@ class TestRmpsa:
         # A demand is searched once per path it gets and once more, so this
         # run makes more searches than there are demands.
         assert schedule.total_paths > len(demands)
-        assert keys == [(d.id,) for d in demands]
+        assert keys == [(i,) for i in range(len(demands))]
 
 
 class TestDmpsa:
@@ -235,7 +266,7 @@ class TestDmpsa:
             [(0, 2), (2, 1), (0, 1)],
             distances={(0, 2): 1.0, (1, 2): 1.0, (0, 1): 5.0},
         )
-        schedule = dmpsa_schedule(g, (Demand(0, 0, 1),))
+        schedule = dmpsa_schedule(g, ((0, 1),))
         assert schedule.paths[0][0].nodes == (0, 2, 1)
         oracle = min_total_distance_bruteforce(
             [(0, 2), (1, 2), (0, 1)], [1.0, 1.0, 5.0], 0, 1
@@ -251,7 +282,7 @@ class TestDmpsa:
             net.nodes, tuple(PhysicalLink(l.u, l.v, 2.0) for l in net.links)
         )
         g = generate_entanglement(net, 0.0, RngStream(42))
-        demands = (Demand(0, 0, 29),)
+        demands = ((0, 29),)
         d_schedule = dmpsa_schedule(g, demands)
         s_schedule = smpsa_schedule(g, demands)
         d_hops = [p.hop_count for p in d_schedule.paths[0]]
@@ -260,7 +291,7 @@ class TestDmpsa:
 
     def test_disconnected_demand_dropped(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert dmpsa_schedule(g, (Demand(0, 0, 2),)).k == 0
+        assert dmpsa_schedule(g, ((0, 2),)).k == 0
 
 
 def _isolate(g, node: int) -> None:
@@ -284,8 +315,8 @@ def _fig5c_like_instances():
             lonely = rng.randrange(node_count)
             _isolate(g, lonely)
             demands += [
-                Demand(5, lonely, (lonely + 1) % node_count),
-                Demand(6, (lonely + 2) % node_count, lonely),
+                (lonely, (lonely + 1) % node_count),
+                ((lonely + 2) % node_count, lonely),
             ]
             yield g, tuple(demands), rng.substream(3)
 
@@ -299,7 +330,7 @@ def _grid_instances():
         n = len(net.nodes)
         demands = list(_sample_demands(n, 4, rng.substream(1)))
         _isolate(g, n - 1)
-        demands.append(Demand(4, n - 1, 0))
+        demands.append((n - 1, 0))
         yield g, tuple(demands), rng.substream(2)
 
 
@@ -315,7 +346,7 @@ def _dense_instances():
         demands = list(_sample_demands(12, 3, rng.substream(2)))
         lonely = rng.randrange(12)
         _isolate(g, lonely)
-        demands.append(Demand(3, (lonely + 1) % 12, lonely))
+        demands.append(((lonely + 1) % 12, lonely))
         yield g, tuple(demands), rng.substream(3)
 
 
@@ -383,7 +414,7 @@ class TestFcfsBaselinesAgainstReference:
     def test_rmpsa_rejects_a_non_stream_rng(self, rng):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InvalidParameterError, match="rng must be an RngStream"):
-            rmpsa_schedule(g, (Demand(0, 0, 2),), rng)
+            rmpsa_schedule(g, ((0, 2),), rng)
 
 
 def _mcsa_generated_instances():
@@ -400,7 +431,7 @@ def _mcsa_generated_instances():
         demands = list(_sample_demands(node_count, demand_count - 1, rng.substream(2)))
         lonely = rng.randrange(node_count)
         _isolate(g, lonely)
-        demands.append(Demand(demand_count - 1, (lonely + 1) % node_count, lonely))
+        demands.append(((lonely + 1) % node_count, lonely))
         yield g, tuple(demands)
 
 
@@ -419,7 +450,7 @@ def _parallel_link_instances():
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v and (u, v) not in pairs:
                 pairs.add((u, v))
-                demands.append(Demand(len(demands), u, v))
+                demands.append((u, v))
         if len(demands) > 1:
             yield build_graph(n, edges), tuple(demands)
 
@@ -479,7 +510,7 @@ class TestCrossAlgorithmProperties:
             if u == v or frozenset((u, v)) in pairs:
                 continue
             pairs.add(frozenset((u, v)))
-            demands.append(Demand(len(demands), u, v))
+            demands.append((u, v))
         demands = tuple(demands)
         for schedule in (
             smpsa_schedule(g, demands),
@@ -490,12 +521,12 @@ class TestCrossAlgorithmProperties:
             validate_schedule(schedule, g, demands)
 
     def test_deterministic_schedulers_are_stable(self, four_cycle):
-        demands = (Demand(0, 0, 1), Demand(1, 2, 3))
+        demands = ((0, 1), (2, 3))
         for fn in (smpsa_schedule, mcsa_schedule, dmpsa_schedule):
             assert fn(four_cycle, demands).to_json() == fn(four_cycle, demands).to_json()
 
     def test_schedule_serialization_shape(self, four_cycle):
-        schedule = smpsa_schedule(four_cycle, (Demand(0, 0, 1),))
+        schedule = smpsa_schedule(four_cycle, ((0, 1),))
         data = json.loads(schedule.to_json())
         assert set(data) == {"k", "demands"}
         assert data["demands"][0]["id"] == 0
@@ -534,9 +565,8 @@ class TestExactOptimum:
     @staticmethod
     def _check(g, demands, rng) -> None:
         edges = [(link.u, link.v) for link in g.links]
-        pairs = [(d.src, d.dst) for d in demands]
-        k_star = max_min_disjoint_paths_milp(g.node_count, edges, pairs)
-        assert k_star <= min(st_min_cut(g, d.src, d.dst).flexibility for d in demands)
+        k_star = max_min_disjoint_paths_milp(g.node_count, edges, list(demands))
+        assert k_star <= min(st_min_cut(g, src, dst).flexibility for src, dst in demands)
         for schedule in (
             smpsa_schedule(g, demands),
             mcsa_schedule(g, demands),
