@@ -30,10 +30,15 @@ links come in one block from ``hash64_range``, and a stream is built only
 for links with attempts.  Each attempt takes one ``next_u64()`` word w from its
 link's stream and succeeds when ``(w >> 11) * 2**-53`` is below that
 probability, so lowering alpha never shrinks the edge set for a fixed seed.
+
+Grids are built and checked once per validated (rows, cols, distance,
+capacity) and kept in a 128-entry LRU cache: a network is frozen, so every
+caller of ``generate_grid`` with equal arguments shares one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -127,7 +132,11 @@ def generate_topology(
 def generate_grid(
     rows: int, cols: int, distance_km: float, capacity: int
 ) -> PhysicalNetwork:
-    """rows x cols grid with uniform link distance and node capacity."""
+    """rows x cols grid with uniform link distance and node capacity.
+
+    The network is built and checked once per validated shape and kept in a
+    128-entry LRU cache, so equal arguments return the same frozen network.
+    """
     rows, cols = require_integer("rows", rows), require_integer("cols", cols)
     capacity = require_integer("capacity", capacity)
     # Floats go straight to the range check, which also rejects NaN and inf.
@@ -141,7 +150,12 @@ def generate_grid(
         raise InvalidParameterError(
             f"distance must be positive and finite, got {distance_km}"
         )
+    return _grid(rows, cols, distance_km, capacity)
 
+
+# Called only after the checks: True == 1 and 3.0 == 3 are equal cache keys.
+@functools.lru_cache()
+def _grid(rows: int, cols: int, distance_km: float, capacity: int) -> PhysicalNetwork:
     nodes = (capacity,) * (rows * cols)
     links = []
     for r in range(rows):

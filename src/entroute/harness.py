@@ -243,9 +243,7 @@ def _run_algorithm(
         return mcsa_schedule(g, demands)
     if name == "rmpsa":
         return rmpsa_schedule(g, demands, rmpsa_rng)
-    if name == "dmpsa":
-        return dmpsa_schedule(g, demands)
-    raise InvalidParameterError(f"unknown algorithm '{name}'")
+    return dmpsa_schedule(g, demands)  # ExperimentConfig admits no other name
 
 
 def run_single(

@@ -408,8 +408,12 @@ def allocate_path(
 
 def _validate_demands(g: EntangledGraph, demands) -> tuple[tuple[int, int], ...]:
     """Each ``(src, dst)`` entry of ``demands`` as a pair of distinct nodes of ``g``."""
+    try:
+        entries = enumerate(demands)
+    except TypeError:  # not iterable
+        raise InvalidParameterError(f"demand set must be iterable, got {demands!r}") from None
     pairs = []
-    for i, demand in enumerate(demands):
+    for i, demand in entries:
         try:
             src, dst = demand
         except (TypeError, ValueError):  # not an iterable of two
@@ -426,11 +430,11 @@ def _validate_demands(g: EntangledGraph, demands) -> tuple[tuple[int, int], ...]
 def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
     """Queue discipline shared by the sequential-style schedulers.
 
-    Pop the front demand and seek a path with ``find_path(work, i, src,
-    dst)``: on success allocate it and requeue the demand at the rear; on
-    failure drop the demand for good (keeping any paths it already holds).
+    ``demands`` are pairs ``_validate_demands`` returned. Pop the front
+    demand and seek a path with ``find_path(work, i, src, dst)``: on success
+    allocate it and requeue the demand at the rear; on failure drop the
+    demand for good (keeping any paths it already holds).
     """
-    demands = _validate_demands(g, demands)
     work = g.copy()
     schedule = RoutingSchedule([[] for _ in demands])
     queue = deque(range(len(demands)))
@@ -446,7 +450,9 @@ def _fcfs_schedule(g: EntangledGraph, demands, find_path) -> RoutingSchedule:
 def smpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
     """Sequential scheduler: FCFS round-robin over minimum-hop paths."""
     return _fcfs_schedule(
-        g, demands, lambda work, i, src, dst: shortest_entangled_path(work, src, dst)
+        g,
+        _validate_demands(g, demands),
+        lambda work, i, src, dst: shortest_entangled_path(work, src, dst),
     )
 
 
@@ -456,7 +462,7 @@ def rmpsa_schedule(g: EntangledGraph, demands, rng: RngStream) -> RoutingSchedul
         raise InvalidParameterError(
             f"rng must be an RngStream, got {type(rng).__name__}"
         )
-    demands = tuple(demands)
+    demands = _validate_demands(g, demands)
     words = [rng.substream(i).words().__next__ for i in range(len(demands))]
     return _fcfs_schedule(
         g, demands, lambda work, i, src, dst: _random_simple_path(work, src, dst, words[i])
@@ -477,7 +483,7 @@ def dmpsa_schedule(g: EntangledGraph, demands) -> RoutingSchedule:
             h = to_src[src] = _distances_from(work, src)
         return _min_distance_path(work, src, dst, h)
 
-    return _fcfs_schedule(g, demands, find_nearest)
+    return _fcfs_schedule(g, _validate_demands(g, demands), find_nearest)
 
 
 def mcsa_schedule(

@@ -268,6 +268,12 @@ MUTANTS = [
         ["tests/test_generation.py::TestGenerateEntanglement::test_rejects_non_finite_alpha"],
     ),
     (
+        "generation.py",
+        "\ndef generate_grid(\n",
+        "\n@functools.lru_cache()\ndef generate_grid(\n",
+        ["tests/test_generation.py::TestGenerateGrid::test_checks_run_before_the_cache"],
+    ),
+    (
         "metrics.py",
         "(2 * hops) / capacity",
         "hops / capacity",

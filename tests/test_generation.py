@@ -228,6 +228,24 @@ class TestGenerateGrid:
         assert all(type(l.distance_km) is float for l in net.links)
         assert net == generate_grid(3, 4, float(distance), 4)
 
+    def test_equal_validated_arguments_share_one_network(self):
+        assert generate_grid(3, 4, 1.0, 4) is generate_grid(3, np.int64(4), 1, 4)
+
+    @pytest.mark.parametrize(
+        "rows, cols, distance, capacity, message",
+        [
+            (3, 3, True, 4, "distance_km must be a number"),
+            (3.0, 3, 1.0, 1, "rows must be an integer"),
+            (3, 3, 1.0, True, "capacity must be an integer"),
+        ],
+    )
+    def test_checks_run_before_the_cache(self, rows, cols, distance, capacity, message):
+        # Warm keys that compare equal to the rejected arguments.
+        generate_grid(3, 3, 1.0, 4)
+        generate_grid(3, 3, 1.0, 1)
+        with pytest.raises(InvalidParameterError, match=message):
+            generate_grid(rows, cols, distance, capacity)
+
 
 def _line_network(capacities, distance=1.0):
     links = tuple(

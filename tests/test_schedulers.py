@@ -117,6 +117,13 @@ def test_malformed_demands_rejected(four_cycle, demands, message, schedule):
         _SCHEDULES[schedule](four_cycle, demands)
 
 
+@pytest.mark.parametrize("demands", [None, 5])
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+def test_demand_set_that_is_not_iterable_rejected(four_cycle, demands, schedule):
+    with pytest.raises(InvalidParameterError, match=f"^demand set must be iterable, got {demands}$"):
+        _SCHEDULES[schedule](four_cycle, demands)
+
+
 # Each entry makes a fresh copy of the pairs, since a generator is read once.
 _DEMAND_FORMS = {
     "tuples": lambda pairs: pairs,
