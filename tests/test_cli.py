@@ -331,11 +331,11 @@ def test_console_entry_point(config_path, tmp_path):
         ("algorithms", "smpsa", "algorithms must be a list of names"),
         ("noise", {"distance_km": 50.0}, "unknown noise keys"),
         ("noise", {"source_frequency_hz": 21.05}, "unknown noise keys"),
-        ("noise", [], "noise must be an object"),
         ("node_count", 1, "node_count must be >= 2"),
         ("iterations", 0, "iterations must be >= 1"),
         ("algorithms", [], "at least one algorithm must be selected"),
         ("sweep_values", "3,6", "sweep_values must be a list of numbers"),
+        ("noise", [], "noise must be an object"),
     ],
 )
 def test_malformed_field_exit_code(field, value, message, tmp_path, capsys):
