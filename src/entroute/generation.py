@@ -33,7 +33,12 @@ probability, so lowering alpha never shrinks the edge set for a fixed seed.
 
 Grids are built and checked once per validated (rows, cols, distance,
 capacity) and kept in a 128-entry LRU cache: a network is frozen, so every
-caller of ``generate_grid`` with equal arguments shares one.
+caller of ``generate_grid`` with equal arguments shares one.  A network pairs
+its slots once and keeps the attempt counts.  A run in which every attempt
+succeeds, as every grid check's at alpha = 0 does, has the network's full
+multigraph as its links; the network keeps that graph, built by the first
+such run, and each run gets a copy of it with fresh allocation flags.  The
+draws are made all the same, one per attempt.
 """
 
 from __future__ import annotations
@@ -168,12 +173,15 @@ def _grid(rows: int, cols: int, distance_km: float, capacity: int) -> PhysicalNe
     return PhysicalNetwork(nodes, tuple(map(PhysicalLink._make, links)))
 
 
-def _slot_pair_counts(net: PhysicalNetwork) -> list[int]:
+def _slot_pair_counts(net: PhysicalNetwork) -> tuple[int, ...]:
     """Attempts per link from the synchronized-round slot pairing.
 
     Each round visits only the links that paired in the round before: a link
-    that fails has a spent endpoint, and spent endpoints stay spent.
+    that fails has a spent endpoint, and spent endpoints stay spent. The
+    first call keeps the result on the network, so later ones return it.
     """
+    if net._slot_pairs is not None:
+        return net._slot_pairs
     free = list(net.nodes)
     attempts = [0] * len(net.links)
     live = [(index, link.u, link.v) for index, link in enumerate(net.links)]
@@ -187,7 +195,8 @@ def _slot_pair_counts(net: PhysicalNetwork) -> list[int]:
                 attempts[index] += 1
                 paired.append(entry)
         live = paired
-    return attempts
+    object.__setattr__(net, "_slot_pairs", tuple(attempts))
+    return net._slot_pairs
 
 
 def generate_entanglement(
@@ -204,9 +213,10 @@ def generate_entanglement(
     if alpha < 0:
         raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
 
+    counts = _slot_pair_counts(net)
     links: list[PhysicalLink] = []
     for plink, attempts, seed in zip(
-        net.links, _slot_pair_counts(net), hash64_range(rng.seed, len(net.links))
+        net.links, counts, hash64_range(rng.seed, len(net.links))
     ):
         if attempts == 0:
             continue
@@ -217,4 +227,12 @@ def generate_entanglement(
             # A uniform from the word's top 53 bits, one call per attempt.
             if (next_u64() >> 11) * 2.0**-53 < p_success:
                 links.append(plink)
+    if len(links) == sum(counts):
+        # Every attempt succeeded: links is the network's full multigraph,
+        # built by the first such run and handed out with fresh flags.
+        full = net._full_graph
+        if full is None:
+            full = EntangledGraph(links, net)
+            object.__setattr__(net, "_full_graph", full)
+        return full._copy()
     return EntangledGraph(links, net)

@@ -18,7 +18,10 @@ mutable state is ``EntangledGraph.allocated``, a list of one flag per link
 id that flips in place when a routing path claims the link;
 ``EntangledGraph.copy`` gives each scheduler run its own flags. Since
 nothing that ``to_json`` writes can change, an entangled graph builds its
-JSON text once.
+JSON text once. For the same reason a network keeps what entanglement
+generation derives from it alone, set by the first run: its slot pairing
+and, once a run has had every attempt succeed, that full multigraph. These
+memos take no part in ``repr``, ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class PhysicalNetwork:
 
     nodes: tuple[int, ...]
     links: tuple[PhysicalLink, ...]
+    # Set by entanglement generation: the attempts per link of the slot
+    # pairing, and the graph of a run in which every attempt succeeded.
+    _slot_pairs: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _full_graph: EntangledGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -148,6 +155,14 @@ class EntangledGraph:
 
     def copy(self) -> "EntangledGraph":
         """Copy with its own allocation flags; everything else is shared."""
+        return self._copy()
+
+    def _copy(self) -> "EntangledGraph":
+        """The body of ``copy``, which generation runs on a network's full graph.
+
+        Generation calls this, not ``copy``, so calls of ``copy`` are exactly
+        the schedulers' work copies.
+        """
         clone = EntangledGraph.__new__(EntangledGraph)
         setattr_ = object.__setattr__
         setattr_(clone, "links", self.links)

@@ -16,6 +16,7 @@ from entroute.generation import (
 )
 from entroute.network import PhysicalLink, PhysicalNetwork
 from entroute.rng import RngStream, hash64
+from entroute.routing import RoutingSchedule, allocate_path, shortest_entangled_path
 from oracles import (
     generate_entanglement_scalar,
     generate_topology_scalar,
@@ -365,12 +366,12 @@ def _shuffled_networks(draw):
 class TestEntanglementMatchesScalarOracle:
     def test_slot_pair_counts(self):
         for net in _networks():
-            assert generation._slot_pair_counts(net) == slot_pair_counts_rescan(net)
+            assert generation._slot_pair_counts(net) == tuple(slot_pair_counts_rescan(net))
 
     @settings(max_examples=200, deadline=None)
     @given(_shuffled_networks())
     def test_slot_pair_counts_in_any_link_order(self, net):
-        assert generation._slot_pair_counts(net) == slot_pair_counts_rescan(net)
+        assert generation._slot_pair_counts(net) == tuple(slot_pair_counts_rescan(net))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 1e3])
     @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
@@ -425,3 +426,67 @@ def test_a_draw_equal_to_the_success_probability_fails(word, pairs):
     assert math.exp(-1.0 * math.log(2)) == 0.5
     graph = generate_entanglement(net, 1.0, _rng_whose_first_link_draws(word))
     assert len(graph.links) == pairs
+
+
+def _grid_check_network() -> PhysicalNetwork:
+    """A cached grid whose full multigraph every alpha = 0 run has cached."""
+    net = generate_grid(4, 5, 1.0, 3)
+    generate_entanglement(net, 0.0, RngStream(0))
+    return net
+
+
+class TestFullGraphReuse:
+    """Runs in which every attempt succeeds share the network's full graph."""
+
+    def test_every_run_matches_the_oracle_with_shared_structure(self):
+        net = _grid_check_network()
+        runs = [generate_entanglement(net, 0.0, RngStream(seed)) for seed in (1, 42, 2**64 - 1)]
+        for seed, graph in zip((1, 42, 2**64 - 1), runs):
+            slow = generate_entanglement_scalar(net, 0.0, RngStream(seed))
+            assert graph.to_json() == slow.to_json()
+            assert [id(l) for l in graph.links] == [id(l) for l in slow.links]
+            assert graph.allocated == [False] * len(slow.links)
+        assert all(graph.adjacency is runs[0].adjacency for graph in runs)
+        assert len({id(graph.allocated) for graph in runs}) == len(runs)
+        assert all(graph is not net._full_graph for graph in runs)
+
+    def test_a_claimed_path_stays_in_its_own_run(self):
+        net = _grid_check_network()
+        for seed in (3, 4, 5):
+            first = generate_entanglement(net, 0.0, RngStream(seed))
+            text = first.to_json()
+            allocate_path(RoutingSchedule([[]]), first, 0, shortest_entangled_path(first, 0, 19))
+            assert any(first.allocated)
+            second = generate_entanglement(net, 0.0, RngStream(seed))
+            assert second.allocated == [False] * len(second.links)
+            assert second.to_json() == text
+
+    def test_one_failed_attempt_builds_a_fresh_graph(self):
+        net = _grid_check_network()
+        full = net._full_graph
+        total = sum(generation._slot_pair_counts(net))
+        alpha = -math.log1p(-1.0 / total)  # about one failure per run
+        seed = next(
+            seed for seed in range(500)
+            if len(generate_entanglement_scalar(net, alpha, RngStream(seed)).links) == total - 1
+        )
+        graph = generate_entanglement(net, alpha, RngStream(seed))
+        slow = generate_entanglement_scalar(net, alpha, RngStream(seed))
+        assert graph.to_json() == slow.to_json()
+        assert [id(l) for l in graph.links] == [id(l) for l in slow.links]
+        assert graph.adjacency is not full.adjacency
+        assert net._full_graph is full
+
+    def test_the_memos_are_invisible(self):
+        def twin():
+            return PhysicalNetwork((2, 3, 1, 2), ((0, 1, 1.0), (1, 2, 2.0), (0, 3, 0.5), (1, 3, 1.5)))
+
+        net, fresh = twin(), twin()
+        before = (repr(net), hash(net))
+        generate_entanglement(net, 0.0, RngStream(8))
+        generate_entanglement(net, 0.7, RngStream(8))
+        assert net._slot_pairs == tuple(slot_pair_counts_rescan(fresh))
+        assert net._full_graph is not None
+        assert (repr(net), hash(net)) == before == (repr(fresh), hash(fresh))
+        assert net == fresh
+        assert fresh._slot_pairs is None and fresh._full_graph is None
