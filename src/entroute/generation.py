@@ -37,8 +37,10 @@ caller of ``generate_grid`` with equal arguments shares one.  A network pairs
 its slots once and keeps the attempt counts.  A run in which every attempt
 succeeds, as every grid check's at alpha = 0 does, has the network's full
 multigraph as its links; the network keeps that graph, built by the first
-such run, and each run gets a copy of it with fresh allocation flags.  The
-draws are made all the same, one per attempt.
+such run, and each run gets a copy of it with fresh allocation flags.  That
+graph and its copies share one memo of min cuts from the zero flow, which
+``routing.st_min_cut`` fills; a graph built for a run with a failed attempt
+has none.  The draws are made all the same, one per attempt.
 """
 
 from __future__ import annotations
@@ -233,6 +235,7 @@ def generate_entanglement(
         full = net._full_graph
         if full is None:
             full = EntangledGraph(links, net)
+            object.__setattr__(full, "_cuts", {})
             object.__setattr__(net, "_full_graph", full)
         return full._copy()
     return EntangledGraph(links, net)

@@ -20,8 +20,10 @@ id that flips in place when a routing path claims the link;
 nothing that ``to_json`` writes can change, an entangled graph builds its
 JSON text once. For the same reason a network keeps what entanglement
 generation derives from it alone, set by the first run: its slot pairing
-and, once a run has had every attempt succeed, that full multigraph. These
-memos take no part in ``repr``, ``==`` or ``hash``.
+and, once a run has had every attempt succeed, that full multigraph. The
+full multigraph and its copies share one dict of the min cuts that
+``routing.st_min_cut`` computes on them from the zero flow. These memos
+take no part in ``repr``, ``==`` or ``hash``.
 """
 
 from __future__ import annotations
@@ -126,6 +128,10 @@ class EntangledGraph:
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
     # The text of to_json(), built by its first call.
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
+    # A network's full multigraph and its copies share one memo of min cuts
+    # from the zero flow, (src, dst) -> (value, link ids, units), that
+    # routing.st_min_cut fills; every other graph holds None.
+    _cuts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         links = tuple(self.links)
@@ -170,6 +176,7 @@ class EntangledGraph:
         setattr_(clone, "allocated", self.allocated.copy())
         setattr_(clone, "adjacency", self.adjacency)
         setattr_(clone, "_json", self._json)
+        setattr_(clone, "_cuts", self._cuts)
         return clone
 
     def to_json(self) -> str:

@@ -19,7 +19,10 @@ whole component would give. The minimum-distance and random searches fail
 at once when src or dst has no free link left. The min cut's flow stops at
 the first augmenting search that fails, or once it fills the free links at
 src or dst; MCSA resumes each demand's flow from its last ranking once the
-units on links claimed since are cancelled.
+units on links claimed since are cancelled. On a network's full multigraph
+with no link claimed, a cut from the zero flow is fixed by (src, dst), so
+the graph's memo keeps each pair's value and final flow from the first such
+call and answers later ones, on any copy, without a search.
 
 Determinism rules used throughout:
   * shortest paths break ties toward the lexicographically smallest node-id
@@ -308,6 +311,12 @@ def st_min_cut(
     left on ``g`` for the same src and dst, with every unit on a link claimed
     since then removed by ``_cancel_unit``; augmenting from any valid flow
     reaches the same maximum value. None starts from the zero flow.
+
+    On a network's full multigraph (a graph whose ``_cuts`` is a dict) with
+    no link allocated, a call from the zero flow of exact ints has its value
+    and final flow fixed by (src, dst). The first such call for a pair
+    stores both, the flow as its nonzero entries, and later ones write those
+    entries into ``flow`` and return the stored value.
     """
     src, dst = _check_endpoints(g, src, dst)
     adjacency, allocated = g.adjacency, g.allocated
@@ -315,6 +324,17 @@ def st_min_cut(
         flow = [0] * len(g.links)
     elif type(flow) is not list or len(flow) != len(g.links):
         raise InvalidParameterError(f"flow must be None or a list of {len(g.links)} net flows")
+    cuts, key = g._cuts, None
+    # The int sum keeps a flow of float or NumPy zeros out of the memo.
+    if (cuts is not None and True not in allocated
+            and flow.count(0) == len(flow) and type(sum(flow)) is int):
+        key = (src, dst)
+        stored = cuts.get(key)
+        if stored is not None:
+            value, lids, units = stored
+            for lid, unit in zip(lids, units):
+                flow[lid] = unit
+            return CutResult(value)
     # Net flow per link, oriented from link.u to link.v; none enters src.
     value = sum([flow[lid] if src < y else -flow[lid] for y, lid in adjacency[src]])
     bound = min([sum([not allocated[lid] for _, lid in adjacency[x]]) for x in (src, dst)])
@@ -346,6 +366,9 @@ def st_min_cut(
             flow[nlid] += 1 if y < ny else -1
             y = ny
         value += 1
+    if key is not None:
+        lids = tuple(compress(range(len(flow)), flow))
+        cuts[key] = (value, lids, tuple([flow[lid] for lid in lids]))
     return CutResult(value)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroute import routing
+from entroute import generation, routing
 from entroute.errors import InvalidParameterError, InvariantViolationError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
 from entroute.network import EntangledGraph
@@ -31,6 +31,7 @@ from oracles import (
     draw_int,
     max_edge_disjoint_paths_bruteforce,
     min_cut_size_bruteforce,
+    mcsa_schedule_reference,
     min_distance_path_reference,
     shortest_entangled_path_reference,
     st_min_cut_reference,
@@ -518,6 +519,123 @@ class TestStMinCutWarmFlow:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(TypeError):
             st_min_cut(g, 0, 1, [0])  # type: ignore[misc]
+
+
+
+MEMO_ROWS, MEMO_COLS = 6, 5
+
+
+@pytest.fixture
+def full() -> EntangledGraph:
+    """A copy of a cached grid's full multigraph at alpha 0, its memo emptied."""
+    g = generate_entanglement(generate_grid(MEMO_ROWS, MEMO_COLS, 1.0, 4), 0.0, RngStream(3))
+    assert g._cuts is g.physical._full_graph._cuts
+    g._cuts.clear()  # cold, whatever earlier tests stored for this grid
+    return g
+
+
+def _twin(g: EntangledGraph) -> EntangledGraph:
+    """The same multigraph built without a memo."""
+    twin = EntangledGraph(list(g.links), g.physical)
+    assert twin._cuts is None
+    return twin
+
+
+def _column_demands() -> list[tuple[int, int]]:
+    return [(c, (MEMO_ROWS - 1) * MEMO_COLS + c) for c in range(MEMO_COLS)]
+
+
+class TestFullGraphCutMemo:
+    """Cuts from the zero flow on a full multigraph answer as computed ones do."""
+
+    def test_cold_and_warm_calls_match_the_twin(self, full):
+        twin = _twin(full)
+        # The column demands, then one source to every bottom node.
+        bottom = [dst for _, dst in _column_demands()]
+        pairs = _column_demands() + [(0, dst) for dst in bottom[1:]]
+        for src, dst in pairs:
+            expected_flow = [0] * len(full.links)
+            expected = st_min_cut(twin, src, dst, flow=expected_flow)
+            assert expected.flexibility == st_min_cut_reference(full, src, dst)[1]
+            for call in ("cold", "warm"):
+                flow = [0] * len(full.links)
+                assert st_min_cut(full.copy(), src, dst, flow=flow) == expected, call
+                assert flow == expected_flow, call
+                assert st_min_cut(full.copy(), src, dst) == expected, call
+            assert (src, dst) in full._cuts
+        assert len(full._cuts) == len(pairs)
+        assert all(type(value) is int for value, _, _ in full._cuts.values())
+
+    def test_a_claimed_link_adds_no_entry(self, full):
+        twin = _twin(full)
+        (src, dst), (cold_src, cold_dst) = _column_demands()[:2]
+        warm = st_min_cut(full.copy(), src, dst).flexibility
+        entries = dict(full._cuts)
+        h, t = full.copy(), twin.copy()
+        lid = full.adjacency[src][0][1]
+        h.allocated[lid] = t.allocated[lid] = True
+        for pair in ((src, dst), (cold_src, cold_dst)):
+            h_flow, t_flow = [0] * len(full.links), [0] * len(full.links)
+            assert st_min_cut(h, *pair, flow=h_flow) == st_min_cut(t, *pair, flow=t_flow)
+            assert h_flow == t_flow
+        # The claimed link is one of src's, and src's links bound the cut.
+        assert st_min_cut(t, src, dst).flexibility == warm - 1
+        assert full._cuts == entries
+
+    def test_a_resumed_flow_adds_no_entry(self, full):
+        twin = _twin(full)
+        for src, dst in _column_demands()[:2]:
+            flow = [0] * len(full.links)
+            value = st_min_cut(twin, src, dst, flow=flow).flexibility
+            # Take one unit off: a valid flow of one less on the same links.
+            routing._cancel_unit(twin, flow, next(lid for lid, f in enumerate(flow) if f))
+            assert _assert_valid_flow(twin, flow, src, dst) == value - 1
+            st_min_cut(full.copy(), src, dst)  # the pair's cut is stored
+            entries = dict(full._cuts)
+            h_flow, t_flow = flow.copy(), flow.copy()
+            assert st_min_cut(full.copy(), src, dst, flow=h_flow) == (
+                st_min_cut(twin, src, dst, flow=t_flow))
+            assert h_flow == t_flow
+            assert full._cuts == entries
+
+    def test_a_flow_of_none_raises_warm_as_cold(self, full):
+        src, dst = _column_demands()[0]
+        with pytest.raises(TypeError) as cold:
+            st_min_cut(full.copy(), src, dst, flow=[None] * len(full.links))
+        assert not full._cuts
+        st_min_cut(full.copy(), src, dst)
+        with pytest.raises(TypeError) as warm:
+            st_min_cut(full.copy(), src, dst, flow=[None] * len(full.links))
+        assert (type(warm.value), str(warm.value)) == (type(cold.value), str(cold.value))
+
+    def test_a_flow_of_float_zeros_computes_warm_as_cold(self, full):
+        src, dst = _column_demands()[0]
+        cold = st_min_cut(full.copy(), src, dst, flow=[0.0] * len(full.links)).flexibility
+        assert type(cold) is float and not full._cuts
+        value = st_min_cut(full.copy(), src, dst).flexibility
+        assert type(value) is int and value == cold
+        warm = st_min_cut(full.copy(), src, dst, flow=[0.0] * len(full.links)).flexibility
+        assert type(warm) is float and warm == cold
+
+    def test_only_a_full_multigraph_keeps_a_memo(self):
+        net = generate_grid(MEMO_ROWS, MEMO_COLS, 1.0, 4)
+        failed = generate_entanglement(net, 1.0, RngStream(3))
+        assert len(failed.links) < sum(generation._slot_pair_counts(net))
+        assert failed._cuts is None
+        assert build_graph(2, [(0, 1)])._cuts is None
+
+    def test_mcsa_with_capacity_budgets_matches_the_reference(self, full):
+        net = full.physical
+        calls = 0
+        for seed in range(24):
+            g = generate_entanglement(net, 0.0, RngStream(seed))
+            columns = RngStream(seed).substream(1).sample(MEMO_COLS, 2 + seed % 4)
+            demands = [(c, (MEMO_ROWS - 1) * MEMO_COLS + c) for c in columns]
+            calls += len(demands)
+            assert mcsa_schedule(g, demands).to_json() == (
+                mcsa_schedule_reference(g, demands).to_json()), seed
+        # The first rankings of later seeds found their cuts stored.
+        assert 0 < len(full._cuts) <= MEMO_COLS < calls
 
 
 _SEARCHES = {
