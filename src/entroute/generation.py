@@ -237,5 +237,5 @@ def generate_entanglement(
             full = EntangledGraph(links, net)
             object.__setattr__(full, "_cuts", {})
             object.__setattr__(net, "_full_graph", full)
-        return full._copy()
+        return full.copy()
     return EntangledGraph(links, net)

@@ -6,18 +6,18 @@ Every simulation instance derives its seed as
 
     child = hash64(master_seed, iteration_index, axis_value_index)
 
-and splits it into fixed-purpose substreams: hash64(child, 0) drives
-topology generation, hash64(child, 1) entanglement, hash64(child, 2) demand
-sampling, and hash64(child, 3) the randomized scheduler (derived only when
-rmpsa is selected).  Demand i is the i-th ``(src, dst)`` pair sampled,
-and the randomized scheduler reads its words from substream i of that
-stream.  Within one instance every selected algorithm gets the same
-entangled graph and demand set; each scheduler claims links only in its
-own ``copy()`` of the graph's allocation flags. The graph's structure
-is frozen, so a run can leak into the next only through those flags. To
-enforce that, a digest of the serialized graph and its flags is taken
-before the first run and checked before each run after the first; a single
-algorithm needs no digest. The graph builds its JSON text on the first
+and splits it into fixed-purpose substreams: hash64(child, 0) drives topology
+generation, hash64(child, 1) entanglement, hash64(child, 2) demand sampling,
+and hash64(child, 3) the randomized scheduler (derived only when rmpsa is
+selected); ``_instance`` alone writes this layout. Demand i is the i-th
+``(src, dst)`` pair sampled, and the randomized scheduler reads its words
+from substream i of that stream. Within one instance every selected algorithm
+gets the same entangled graph and demand set; each scheduler claims links
+only in its own ``copy()`` of the graph's allocation flags. The graph's
+structure is frozen, so a run can leak into the next only through those
+flags. To enforce that, a digest of the serialized graph and its flags is
+taken before the first run and checked before each run after the first; a
+single algorithm needs no digest. The graph builds its JSON text on the first
 call, so the guard serializes once per instance and only rehashes later.
 
 A sweep lists the ``run_single`` arguments of all its instances, runs them
@@ -246,13 +246,10 @@ def _run_algorithm(
     return dmpsa_schedule(g, demands)  # ExperimentConfig admits no other name
 
 
-def run_single(
-    config: ExperimentConfig,
-    iteration_index: int,
-    axis_index: int = 0,
-    sweep_value: float | None = None,
-) -> list[ResultRow]:
-    """One seeded instance: generate once, run every selected algorithm."""
+def _instance(
+    config: ExperimentConfig, iteration_index: int, axis_index: int
+) -> tuple[int, EntangledGraph, tuple[tuple[int, int], ...], RngStream | None]:
+    """The seed, entangled graph, demands and RMPSA stream of one instance."""
     require_integer("iteration_index", iteration_index)
     require_integer("axis_index", axis_index)
     child = hash64(config.master_seed, iteration_index, axis_index)
@@ -268,6 +265,20 @@ def run_single(
     demands = _sample_demands(
         config.node_count, config.demand_count, RngStream(hash64(child, _STREAM_DEMANDS))
     )
+    rmpsa_rng = (
+        RngStream(hash64(child, _STREAM_RMPSA)) if "rmpsa" in config.algorithms else None
+    )
+    return child, graph, demands, rmpsa_rng
+
+
+def run_single(
+    config: ExperimentConfig,
+    iteration_index: int,
+    axis_index: int = 0,
+    sweep_value: float | None = None,
+) -> list[ResultRow]:
+    """One seeded instance: generate once, run every selected algorithm."""
+    seed, graph, demands, rmpsa_rng = _instance(config, iteration_index, axis_index)
 
     def graph_digest() -> str:
         # The wire schema omits allocation flags, so fold them in explicitly:
@@ -282,9 +293,6 @@ def run_single(
     # digest is checked only before each later one.
     pristine_digest = graph_digest() if len(algorithms) > 1 else None
     rows: list[ResultRow] = []
-    rmpsa_rng = (
-        RngStream(hash64(child, _STREAM_RMPSA)) if "rmpsa" in algorithms else None
-    )
     for position, name in enumerate(algorithms):
         if position and graph_digest() != pristine_digest:
             raise InvariantViolationError(
@@ -293,10 +301,10 @@ def run_single(
         start = time.perf_counter()
         schedule = _run_algorithm(name, graph, demands, rmpsa_rng)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        avg_hop_count, depletion_ratio = compute_metrics(schedule, net)
+        avg_hop_count, depletion_ratio = compute_metrics(schedule, graph.physical)
         rows.append(
             ResultRow(
-                seed=child,
+                seed=seed,
                 algorithm=name,
                 sweep_value=sweep_value,
                 k=schedule.k,

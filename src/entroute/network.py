@@ -161,14 +161,6 @@ class EntangledGraph:
 
     def copy(self) -> "EntangledGraph":
         """Copy with its own allocation flags; everything else is shared."""
-        return self._copy()
-
-    def _copy(self) -> "EntangledGraph":
-        """The body of ``copy``, which generation runs on a network's full graph.
-
-        Generation calls this, not ``copy``, so calls of ``copy`` are exactly
-        the schedulers' work copies.
-        """
         clone = EntangledGraph.__new__(EntangledGraph)
         setattr_ = object.__setattr__
         setattr_(clone, "links", self.links)

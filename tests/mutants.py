@@ -41,7 +41,7 @@ MUTANTS = [
     ),
     (
         "generation.py",
-        "return full._copy()",
+        "return full.copy()",
         "return full",
         ["tests/test_generation.py::TestFullGraphReuse::test_a_claimed_path_stays_in_its_own_run"],
     ),
@@ -266,6 +266,12 @@ MUTANTS = [
         "RngStream(hash64(child, _STREAM_RMPSA))",
         "RngStream(hash64(child, _STREAM_DEMANDS))",
         ["tests/test_end_to_end.py::test_run_single_matches_the_reference"],
+    ),
+    (
+        "harness.py",
+        'if "rmpsa" in config.algorithms else None',
+        "if True else None",
+        ["tests/test_harness.py::TestRunSingle::test_rmpsa_stream_derived_only_for_rmpsa"],
     ),
     (
         "harness.py",

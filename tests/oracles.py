@@ -670,18 +670,13 @@ def _schedule_reference(name: str, graph: EntangledGraph, demands, rmpsa_rng) ->
     return dmpsa_schedule_reference(graph, demands)
 
 
-def run_single_reference(
-    config, iteration_index: int, axis_index: int = 0, sweep_value=None
-) -> list[tuple]:
-    """Reference for ``entroute.harness.run_single``; rows as tuples without ``runtime_ms``.
+def instance_reference(config, iteration_index: int, axis_index: int) -> tuple:
+    """Reference for ``entroute.harness._instance``: (seed stream, graph, demands).
 
     The instance seed is ``hash64(master seed, iteration, axis index)``. Its
-    substreams 0, 1, 2 and 3 draw the topology, the Bell pairs, the demands
-    and RMPSA's paths. Each distinct selected algorithm, in name order,
-    schedules the same graph and demands. Its row holds k, the fewest paths
-    of any demand; the mean hop count over all paths, 0 with none; the
-    depletion ratio, 2 qubits per hop over the network's total capacity;
-    and the number of paths.
+    substreams 0, 1 and 2 draw the topology, the Bell pairs and the demands;
+    substream 3, which the caller takes from the returned stream, draws
+    RMPSA's paths.
     """
     child = RngStream(hash64(config.master_seed, iteration_index, axis_index))
     net = generate_topology_scalar(
@@ -692,6 +687,22 @@ def run_single_reference(
     demands = sample_demands_reference(
         config.node_count, config.demand_count, child.substream(_DEMANDS)
     )
+    return child, graph, demands
+
+
+def run_single_reference(
+    config, iteration_index: int, axis_index: int = 0, sweep_value=None
+) -> list[tuple]:
+    """Reference for ``entroute.harness.run_single``; rows as tuples without ``runtime_ms``.
+
+    Each distinct selected algorithm, in name order, schedules the graph and
+    demands of ``instance_reference``, RMPSA from substream 3 of its seed.
+    Its row holds k, the fewest paths of any demand; the mean hop count over
+    all paths, 0 with none; the depletion ratio, 2 qubits per hop over the
+    network's total capacity; and the number of paths.
+    """
+    child, graph, demands = instance_reference(config, iteration_index, axis_index)
+    net = graph.physical
     rows = []
     for name in sorted(set(config.algorithms)):
         schedule = _schedule_reference(name, graph, demands, child.substream(_RMPSA))

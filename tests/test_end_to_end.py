@@ -17,11 +17,17 @@ from hypothesis import example, given, settings, strategies as st
 from entroute.harness import (
     ALGORITHMS,
     ExperimentConfig,
+    _instance,
     run_grid_check,
     run_single,
     run_sweep,
 )
-from oracles import run_grid_check_reference, run_single_reference, run_sweep_reference
+from oracles import (
+    instance_reference,
+    run_grid_check_reference,
+    run_single_reference,
+    run_sweep_reference,
+)
 
 MAX = sys.float_info.max
 
@@ -67,6 +73,15 @@ _EVERY_ALGORITHM = ExperimentConfig(
 @example(config=_EVERY_ALGORITHM, iteration=0, axis_index=0, sweep_value=None)
 @example(config=_EVERY_ALGORITHM, iteration=3, axis_index=2, sweep_value=12.87)
 def test_run_single_matches_the_reference(config, iteration, axis_index, sweep_value):
+    seed, graph, demands, rmpsa_rng = _instance(config, iteration, axis_index)
+    child, reference_graph, reference_demands = instance_reference(config, iteration, axis_index)
+    assert seed == child.seed
+    assert graph.to_json() == reference_graph.to_json()
+    assert list(demands) == reference_demands
+    if "rmpsa" in config.algorithms:
+        assert rmpsa_rng.seed == child.substream(3).seed
+    else:
+        assert rmpsa_rng is None
     rows = run_single(config, iteration, axis_index, sweep_value)
     assert _rows(rows) == run_single_reference(config, iteration, axis_index, sweep_value)
 

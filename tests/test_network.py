@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 
 from entroute.errors import InvalidParameterError
 from entroute.generation import generate_entanglement, generate_grid, generate_topology
+from entroute.harness import _instance, load_config
 from entroute.network import (
     EntangledGraph,
     PhysicalLink,
     PhysicalNetwork,
 )
-from entroute.rng import RngStream, hash64
+from entroute.rng import RngStream
 
 from conftest import build_graph
 from oracles import graph_to_json_reference
@@ -249,11 +251,10 @@ class TestSerializerOracle:
 
 
 def _seed42_sweep_nodes_graph():
-    # The graph of sweep_nodes' largest size (n = 250, axis index 4) at
-    # master seed 42, iteration 0, through the harness's seed derivation.
-    child = hash64(42, 0, 4)
-    net = generate_topology(250, 7.44, 9.09, RngStream(hash64(child, 0)))
-    return generate_entanglement(net, 0.05, RngStream(hash64(child, 1)))
+    # The graph of sweep_nodes' largest size (n = 250, axis index 4) on the
+    # fig5c preset's master seed 42, iteration 0.
+    config = replace(load_config("fig5c"), node_count=250)
+    return _instance(config, 0, 4)[1]
 
 
 def _hand_built_graph():
